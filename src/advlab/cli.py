@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import gradcheck as gradcheck_mod
@@ -17,14 +18,15 @@ from .config import ExperimentConfig, load_config
 from .data import Dataset
 from .diagnostics import (
     CSV_COLUMNS,
+    attacked_stats,
     clean_accuracy,
     compute_heatmap,
-    dataset_certainty,
     label_level_variance,
     overfitting_gap,
     robust_accuracy,
     stepsize_sweep,
 )
+from .diagnostics import dataset_certainty  # noqa: F401 (bench/tracing.py patches it)
 from .errors import CheckpointError, ConfigError, NumericError, TrainingAborted
 from .train import Checkpoint, load_checkpoint, save_checkpoint, train_run
 
@@ -140,8 +142,14 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint_for(config: ExperimentConfig, path, train_set: Dataset) -> Checkpoint:
+    """Load a checkpoint whose architecture fits the config.
+
+    Only the architecture is compared, not ``init_seed``: a checkpoint made
+    by ``advlab train --seed N`` fits its config whatever seed that names.
+    """
     ckpt = load_checkpoint(path)
-    if ckpt.model.spec != config.model_spec(train_set):
+    want = config.model_spec(train_set)
+    if replace(ckpt.model.spec, init_seed=want.init_seed) != want:
         raise CheckpointError(
             f"{path}: checkpoint spec {ckpt.model.spec} does not match the config"
         )
@@ -161,8 +169,7 @@ def cmd_eval(args) -> int:
     }
     print(f"checkpoint epoch {ckpt.epoch}: clean accuracy {report['clean_acc_test']:.4f}")
     for name, atk in sorted(attacks.items()):
-        racc = robust_accuracy(ckpt.model, test_set, atk)
-        ac = dataset_certainty(ckpt.model, test_set, atk)
+        racc, ac, _ = attacked_stats(ckpt.model, test_set, atk)
         report["attacks"][name] = {"robust_acc": racc, "ac": ac}
         print(f"  {name}: robust accuracy {racc:.4f}, certainty {ac:.4f}")
     out_dir = Path(config.out_dir)
@@ -203,12 +210,19 @@ def cmd_sweep(args) -> int:
     etas = _parse_etas(args.etas)
     train_set, test_set = config.build_datasets()
     ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
-    rows = stepsize_sweep(ckpt, (train_set, test_set), etas, config.train)
+    # continue with the checkpoint's own training seed, so eta = 0 reproduces
+    # the run that wrote it
+    if "base_seed" not in ckpt.rng_state:
+        raise CheckpointError(f"{args.checkpoint}: rng state has no base_seed")
+    train_cfg = replace(config.train, seed=ckpt.rng_state["base_seed"])
+    rows = stepsize_sweep(ckpt, (train_set, test_set), etas, train_cfg)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(out_dir / "sweep.csv", rows)
     for r in rows:
         status = "ok" if r.ok else "failed"
+        if r.same_as is not None:
+            status += f", same as eta {r.same_as:g}: capped on every batch"
         print(f"eta {r.eta:g}: ac_train {r.ac_train:.4f} robust_acc_test "
               f"{r.robust_acc_test:.4f} [{status}]")
     return EXIT_OK

@@ -5,6 +5,7 @@ step-size sweep."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -47,8 +48,10 @@ class MetricsRecord:
             v = getattr(self, field)
             if not 0.0 <= v <= 1.0:
                 raise NumericError(f"{field}={v} outside [0, 1]")
-        if self.ac_train < 0.0 or self.ac_test < 0.0:
-            raise NumericError("certainty values must be non-negative")
+        for field in ("ac_train", "ac_test"):
+            v = getattr(self, field)
+            if not 0.0 <= v < float("inf"):
+                raise NumericError(f"{field}={v} must be finite and non-negative")
 
     def to_dict(self, include_wall_time=False):
         d = {name: getattr(self, name) for name in CSV_COLUMNS}
@@ -115,8 +118,8 @@ def clean_accuracy(model: ModelState, dataset: Dataset) -> float:
     return float((preds == dataset.labels).mean())
 
 
-def _attacked_stats(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
-                    rng=None):
+def attacked_stats(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
+                   rng=None):
     """One attack pass per example: (robust accuracy, mean certainty, preds)."""
     rng = _ensure_rng(rng)
     correct = 0
@@ -140,19 +143,19 @@ def robust_accuracy(model: ModelState, dataset: Dataset, attack_config: AttackCo
     The exhaustive inner maximisation is approximated by the configured
     attack; with epsilon 0 this equals the clean accuracy exactly.
     """
-    return _attacked_stats(model, dataset, attack_config, rng)[0]
+    return attacked_stats(model, dataset, attack_config, rng)[0]
 
 
 def dataset_certainty(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
                       rng=None) -> float:
     """Mean per-example logit spread on self-generated attacks."""
-    return _attacked_stats(model, dataset, attack_config, rng)[1]
+    return attacked_stats(model, dataset, attack_config, rng)[1]
 
 
 def split_metrics(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
                   rng=None):
     """(clean accuracy, robust accuracy, certainty) with a single attack pass."""
-    robust, spread, _ = _attacked_stats(model, dataset, attack_config, rng)
+    robust, spread, _ = attacked_stats(model, dataset, attack_config, rng)
     return clean_accuracy(model, dataset), robust, spread
 
 
@@ -165,7 +168,7 @@ def compute_heatmap(model: ModelState, dataset: Dataset, attack_config: AttackCo
         raise ShapeError(
             f"dataset has {dataset.num_classes} classes but model only {k}"
         )
-    _, _, preds = _attacked_stats(model, dataset, attack_config, rng)
+    _, _, preds = attacked_stats(model, dataset, attack_config, rng)
     counts = np.bincount(dataset.labels, minlength=k).astype(np.int64)
     matrix = np.zeros((k, k))
     np.add.at(matrix, (dataset.labels, preds), 1.0)
@@ -201,10 +204,14 @@ def certainty_gap(best, last, dataset: Dataset, attack_config: AttackConfig,
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One sweep result. ``same_as`` is the step size of the earlier row
+    whose result this row reuses, or None when the row was computed."""
+
     eta: float
     ac_train: float
     robust_acc_test: float
     ok: bool = True
+    same_as: Optional[float] = None
 
 
 def stepsize_sweep(checkpoint, data, etas, config) -> list:
@@ -213,7 +220,21 @@ def stepsize_sweep(checkpoint, data, etas, config) -> list:
     Every row restarts from the same checkpoint, trains a single epoch with
     the given certainty step size, and records the training-split certainty
     and held-out robust accuracy under the evaluation attack. Rows whose
-    training blows up are kept with NaNs and ``ok=False``.
+    training blows up are kept with NaNs and ``ok=False``. Rows come back in
+    request order.
+
+    A row is reused instead of trained when an earlier computed row proves
+    its result. On each batch the half step is ``min(eta * f, cap_b)``, with
+    ``f`` the epoch's decay factor and ``cap_b`` the Polyak step of that
+    batch at the current weights. If row r ran to the end with the cap
+    cutting every half step (``eta_r * f > cap_b`` on every batch), then
+    any later row with ``eta >= eta_r`` also has ``eta * f > cap_b`` on the
+    first batch, so it takes the same step from the same weights; by
+    induction over the batches its weights, and so its metrics, are equal
+    to row r's bit for bit. Such a row copies row r's numbers under its own
+    eta and skips the continuation epoch and its two attack passes. The
+    eta = 0 row, failed rows and rows with any uncut batch (including a
+    zero certainty gradient) are never reused.
     """
     # imported here to avoid a circular dependency with train
     from .train import continue_one_epoch
@@ -222,16 +243,24 @@ def stepsize_sweep(checkpoint, data, etas, config) -> list:
         raise ConfigError("etas must not be empty")
     train_set, test_set = data
     rows = []
+    capped_rows = []  # computed rows whose half step the cap cut on every batch
     for eta in etas:
         eta = float(eta)
         if eta < 0:
             raise ConfigError(f"step sizes must be non-negative, got {eta}")
+        source = next((r for r in capped_rows if eta >= r.eta), None)
+        if source is not None:
+            rows.append(replace(source, eta=eta, same_as=source.eta))
+            continue
         cfg = replace(config, method="edac", edac_eta=eta)
         try:
-            model = continue_one_epoch(checkpoint, train_set, cfg)
+            model, capped = continue_one_epoch(checkpoint, train_set, cfg)
             ac_train = dataset_certainty(model, train_set, cfg.eval_attack)
             racc = robust_accuracy(model, test_set, cfg.eval_attack)
-            rows.append(SweepRow(eta, ac_train, racc, True))
         except (NumericError, FloatingPointError, OverflowError):
             rows.append(SweepRow(eta, float("nan"), float("nan"), False))
+            continue
+        rows.append(SweepRow(eta, ac_train, racc, True))
+        if capped:
+            capped_rows.append(rows[-1])
     return rows

@@ -394,18 +394,25 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
 
 
 def continue_one_epoch(checkpoint: Checkpoint, train_set: Dataset, config: TrainConfig):
-    """Run exactly one more epoch from a checkpoint; returns the new model.
+    """Run exactly one more epoch from a checkpoint; returns (model, capped).
 
     Uses the same shuffle and step seeding as ``train_run`` would for that
     epoch, so a zero certainty step size reproduces a plain continuation.
+    ``capped`` is true when the Polyak cap cut the certainty half step on
+    every batch, that is when each ``HalfStepReport.eta`` is strictly below
+    the scheduled ``eta_at_epoch``. It is false for ``at``, ``edac_reg``, a
+    zero step size and any batch whose certainty gradient is zero.
     """
     nb = batches_per_epoch(train_set, config)
     epoch = checkpoint.epoch + 1
+    scheduled = eta_at_epoch(config, epoch)
     model = checkpoint.model
     opt = OptState(checkpoint.optimizer_momentum, epoch, epoch * nb)
+    capped = True
     for batch in epoch_batches(train_set, config, epoch):
-        model, opt, _ = apply_update(model, batch, config, opt)
-    return model
+        model, opt, report = apply_update(model, batch, config, opt)
+        capped = capped and report is not None and report.eta < scheduled
+    return model, capped
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +460,8 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[start : start + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("version") != 1:
         raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')}")
     try:
@@ -463,10 +472,13 @@ def load_checkpoint(path) -> Checkpoint:
             init_seed=int(header["spec"]["init_seed"]),
         )
         segments = [(str(n), tuple(int(d) for d in shape)) for n, shape in header["segments"]]
+        if any(d < 0 for _, shape in segments for d in shape):
+            raise ValueError(f"negative segment dimension in {header['segments']}")
         metrics = MetricsRecord.from_dict(header["metrics"])
         epoch = int(header["epoch"])
         rng_state = {str(k): int(v) for k, v in header["rng"].items()}
-    except (KeyError, TypeError, ValueError, ConfigError, NumericError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError,
+            NumericError) as exc:
         raise CheckpointError(f"{path}: malformed header fields: {exc}") from exc
     count = sum(int(np.prod(shape)) for _, shape in segments)
     body = raw[start + hlen :]
@@ -475,13 +487,13 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: expected {2 * 8 * count} payload bytes, found {len(body)}"
         )
     flat = np.frombuffer(body, dtype="<f8")
-    template = ParamVector(
-        (name, np.zeros(shape)) for name, shape in segments
-    )
-    params = template.unflatten(flat[:count])
-    buf = template.unflatten(flat[count:])
     try:
+        template = ParamVector((name, np.zeros(shape)) for name, shape in segments)
+        params = template.unflatten(flat[:count])
+        buf = template.unflatten(flat[count:])
         model = ModelState(spec, params)
-    except ShapeError as exc:
+    except (ConfigError, ShapeError) as exc:
         raise CheckpointError(f"{path}: parameters do not match spec: {exc}") from exc
+    if not (params.allfinite() and buf.allfinite()):
+        raise CheckpointError(f"{path}: non-finite parameters or momentum")
     return Checkpoint(model, epoch, buf, rng_state, metrics)

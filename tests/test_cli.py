@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -49,6 +50,44 @@ steps = 0
 [output]
 dir = {out}
 """
+
+
+def rewrite_checkpoint(src, dst, edit_header=None, nan_at=None):
+    """Copy a checkpoint, passing its header through ``edit_header`` or
+    setting the payload float at index ``nan_at(payload size)`` to NaN; the
+    payload holds the parameters, then the momentum."""
+    raw = src.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    if edit_header is not None:
+        header = edit_header(header)
+    payload = np.frombuffer(raw[12 + hlen:], dtype="<f8").copy()
+    if nan_at is not None:
+        payload[nan_at(payload.size)] = np.nan
+    blob = json.dumps(header).encode()
+    dst.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + payload.tobytes())
+
+
+def set_field(path, value):
+    """A header edit that sets the field at ``path`` (keys and indices)."""
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return header
+    return edit
+
+
+MALFORMED = {
+    "json_list_header": dict(edit_header=lambda h: [h]),
+    # QUICK's w0 is 6 x 16, so the negated shape keeps the payload length
+    "negative_segment_shape": dict(edit_header=set_field(("segments", 0, 1), [-6, -16])),
+    "nan_params": dict(nan_at=lambda n: 0),
+    "nan_momentum": dict(nan_at=lambda n: n // 2),
+    "nan_ac_train": dict(edit_header=set_field(("metrics", "ac_train"), float("nan"))),
+    "repeated_segment_name": dict(edit_header=set_field(("segments", 1, 0), "w0")),
+}
 
 
 @pytest.fixture
@@ -134,6 +173,52 @@ class TestEvalCommand:
                      "--checkpoint", str(out / "best.ckpt")]) == 4
 
 
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_checkpoint_exit_4(self, quick_config, tmp_path, case):
+        cfg, out = quick_config()
+        main(["train", "--config", str(cfg)])
+        bad = tmp_path / "bad.ckpt"
+        rewrite_checkpoint(out / "last.ckpt", bad, **MALFORMED[case])
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad)]) == 4
+
+    def test_checkpoint_of_seed_override_accepted(self, quick_config, tmp_path):
+        # --seed also sets init_seed; eval, heatmap and sweep compare only the
+        # architecture and sweep continues with the checkpoint's own seed
+        swaps = {"init_seed = 1": "init_seed = 0", "seed = 3": "seed = 0"}
+        cfg, out = quick_config(**swaps)
+        assert main(["train", "--config", str(cfg), "--seed", "3"]) == 0
+        ckpt = str(out / "last.ckpt")
+        assert main(["eval", "--config", str(cfg), "--checkpoint", ckpt]) == 0
+        assert main(["heatmap", "--config", str(cfg), "--checkpoint", ckpt]) == 0
+        assert main(["sweep", "--config", str(cfg), "--checkpoint", ckpt,
+                     "--etas", "0"]) == 0
+        row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        longer, longer_out = quick_config(out_name="longer",
+                                          **swaps, **{"epochs = 2": "epochs = 3"})
+        assert main(["train", "--config", str(longer), "--seed", "3"]) == 0
+        hist = (longer_out / "history.csv").read_text().splitlines()[-1].split(",")
+        assert (row[1], row[2]) == (hist[7], hist[6])  # ac_train, robust_acc_test
+        other, _ = quick_config(out_name="other", **swaps,
+                                **{"activation = relu": "activation = tanh"})
+        for command in ("eval", "heatmap"):
+            assert main([command, "--config", str(other), "--checkpoint", ckpt]) == 4
+        assert main(["sweep", "--config", str(other), "--checkpoint", ckpt,
+                     "--etas", "0"]) == 4
+
+    def test_missing_base_seed_exit_4(self, quick_config, tmp_path):
+        cfg, out = quick_config()
+        main(["train", "--config", str(cfg)])
+        bad = tmp_path / "noseed.ckpt"
+
+        def drop_seed(header):
+            del header["rng"]["base_seed"]
+            return header
+
+        rewrite_checkpoint(out / "last.ckpt", bad, edit_header=drop_seed)
+        assert main(["sweep", "--config", str(cfg), "--checkpoint", str(bad),
+                     "--etas", "0"]) == 4
+
+
 class TestHeatmapCommand:
     def test_rows_sum_to_one_in_emitted_file(self, quick_config):
         cfg, out = quick_config()
@@ -159,6 +244,18 @@ class TestSweepCommand:
         assert lines[0] == "eta,ac_train,robust_acc_test,ok"
         assert len(lines) == 3
         assert all(line.endswith("true") for line in lines[1:])
+
+    def test_reused_rows_named_on_stdout(self, quick_config, capsys):
+        cfg, out = quick_config()
+        main(["train", "--config", str(cfg)])
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(cfg), "--checkpoint",
+                     str(out / "last.ckpt"), "--etas", "1000,2000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("[ok]")
+        assert lines[1].endswith("[ok, same as eta 1000: capped on every batch]")
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert rows[0].split(",")[1:] == rows[1].split(",")[1:]
 
     def test_malformed_etas_exit_2(self, quick_config):
         cfg, out = quick_config()

@@ -48,6 +48,8 @@ class TestMetricsRecord:
             record(0, 1.5)
         with pytest.raises(NumericError):
             record(0, 0.5, ac_train=-0.1)
+        with pytest.raises(NumericError):
+            record(0, 0.5, ac_test=float("nan"))
 
     def test_dict_roundtrip_zeroes_wall_time(self):
         r = record(3, 0.5, wall_time_s=12.5)
@@ -217,7 +219,8 @@ class TestStepsizeSweep:
         from dataclasses import replace
 
         rows = stepsize_sweep(last, data, [0.0], cfg)
-        continued = continue_one_epoch(last, data[0], replace(cfg, method="at"))
+        continued, capped = continue_one_epoch(last, data[0], replace(cfg, method="at"))
+        assert not capped
         want_ac = dataset_certainty(continued, data[0], cfg.eval_attack)
         want_racc = robust_accuracy(continued, data[1], cfg.eval_attack)
         assert rows[0].ac_train == pytest.approx(want_ac, abs=1e-15)
@@ -233,3 +236,45 @@ class TestStepsizeSweep:
         last, data, cfg = self.make_run()
         rows = stepsize_sweep(last, data, [0.0, 0.1], cfg)
         assert all(r.ok for r in rows)
+
+    @pytest.fixture
+    def epochs_run(self, monkeypatch):
+        """Record (edac_eta, capped) of every continuation epoch the sweep runs."""
+        from advlab import train as train_mod
+
+        calls = []
+        original = train_mod.continue_one_epoch
+
+        def spy(checkpoint, train_set, config):
+            model, capped = original(checkpoint, train_set, config)
+            calls.append((config.edac_eta, capped))
+            return model, capped
+
+        monkeypatch.setattr(train_mod, "continue_one_epoch", spy)
+        return calls
+
+    def test_capped_row_reused_bitwise(self, epochs_run):
+        # at 1e3 the Polyak cap cuts every half step, so 2e3 takes the same steps
+        last, data, cfg = self.make_run()
+        rows = stepsize_sweep(last, data, [1e3, 2e3], cfg)
+        assert epochs_run == [(1e3, True)]
+        alone = stepsize_sweep(last, data, [2e3], cfg)[0]
+        assert [r.eta for r in rows] == [1e3, 2e3]
+        assert (rows[0].same_as, rows[1].same_as) == (None, 1e3)
+        assert rows[1].ok and alone.same_as is None
+        assert rows[1].ac_train == alone.ac_train
+        assert rows[1].robust_acc_test == alone.robust_acc_test
+
+    def test_uncapped_and_eta_zero_rows_never_reused(self, epochs_run):
+        last, data, cfg = self.make_run()
+        rows = stepsize_sweep(last, data, [0.0, 0.05, 0.1, 1e3], cfg)
+        assert epochs_run == [(0.0, False), (0.05, False), (0.1, False), (1e3, True)]
+        assert all(r.same_as is None for r in rows)
+
+    def test_smaller_eta_after_capped_row_is_computed(self, epochs_run):
+        last, data, cfg = self.make_run()
+        rows = stepsize_sweep(last, data, [2e3, 0.05, 1e3, 3e3], cfg)
+        assert [eta for eta, _ in epochs_run] == [2e3, 0.05, 1e3]
+        assert [r.eta for r in rows] == [2e3, 0.05, 1e3, 3e3]
+        assert [r.same_as for r in rows] == [None, None, None, 2e3]
+        assert rows[2].ac_train == rows[0].ac_train

@@ -8,7 +8,7 @@ step-size sweeps.
 """
 
 from .attack import AdversarialBatch, AttackConfig, fgsm, generate_batch, pgd, project_ball
-from .autodiff import Var, backward, finite_diff_grad
+from .autodiff import finite_diff_grad
 from .data import (
     Batch,
     Dataset,
@@ -33,7 +33,6 @@ from .diagnostics import (
 )
 from .errors import (
     AdvlabError,
-    CapabilityError,
     CheckpointError,
     ConfigError,
     DataFormatError,
@@ -46,9 +45,8 @@ from .netcore import (
     ModelSpec,
     ModelState,
     ParamVector,
+    backward,
     forward_logits,
-    grad_input,
-    grad_params,
     init_model,
     predict_label,
 )

@@ -15,11 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff
-from .autodiff import Var, as_f64, backward
+from .autodiff import as_f64, ce_rows_grad
 from .data import Batch
 from .errors import ConfigError, NumericError, ShapeError
-from .netcore import DiffModel, ModelState, _as_rows
+from .netcore import DiffModel, ModelState, _as_rows, backward
 
 NORMS = ("linf", "l2")
 KINDS = ("pgd", "fgsm")
@@ -98,11 +97,8 @@ def project_ball(x_prime, center, config: AttackConfig):
 
 def _ce_grad_x(model: ModelState, rows, labels):
     """Gradient of the summed cross-entropy with respect to each input row."""
-    dm = DiffModel(model, track_params=False)
-    xv = Var(rows)
-    loss = autodiff.sum_all(autodiff.neg(autodiff.pick(autodiff.log_softmax(dm.logits(xv)), labels)))
-    backward(loss)
-    g = np.zeros_like(rows) if xv.grad is None else xv.grad
+    dm = DiffModel(model)
+    g = backward(dm, ce_rows_grad(dm.logits(rows), labels, 1.0), inputs=True)
     if not np.isfinite(g).all():
         raise NumericError("non-finite input gradient during attack")
     return g

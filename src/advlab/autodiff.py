@@ -1,23 +1,17 @@
-"""Reverse-mode differentiation over dense float64 arrays.
+"""Row-wise losses over dense float64 logit matrices, their gradients with
+respect to the logits, and the finite-difference oracle.
 
-The graph is built eagerly: each primitive returns a :class:`Var` holding the
-computed value together with a closure that maps the output cotangent to the
-parents' cotangents. :func:`backward` then walks the graph once in reverse
-topological order. Only the primitives needed by the training objectives are
-provided: affine maps, relu/tanh, log-softmax, per-row label picking, KL
-building blocks, sums/means, and the per-row population standard deviation
-used as the certainty functional.
-
-The plain-value helpers (``log_softmax_rows`` etc.) are shared with the
-non-differentiating fast paths elsewhere so that both routes evaluate the
-exact same floating-point expressions.
+Every loss that training, the attacks and the certainty step differentiate is
+a per-row function of the logits: cross-entropy, softmax KL divergence, or
+the per-row population standard deviation used as the certainty functional.
+Each has a value helper (``ce_rows_value`` ...) and a closed-form gradient
+(``ce_rows_grad`` ...); ``netcore.backward`` carries such a gradient back
+through the network.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import CapabilityError, ShapeError
 
 Array = np.ndarray
 
@@ -64,262 +58,49 @@ def kl_rows_value(logits_p: Array, logits_q: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# graph
+# gradients with respect to the logits
+#
+# Each returns d(scale * sum of the row values)/d(logits), for a mean with
+# ``scale = weight / n``. The operands are multiplied in a fixed order,
+# ``scale`` first: another order changes the last bits of the gradients and,
+# over many steps, of every training trajectory.
 
 
-class Var:
-    """A node in the differentiation graph: an array value plus backward rule.
+def _log_softmax_vjp(lsm: Array, g: Array) -> Array:
+    return g - np.exp(lsm) * g.sum(axis=-1, keepdims=True)
 
-    ``track=False`` marks constants; their gradients are neither computed nor
-    stored, which keeps repeated attack gradients cheap.
+
+def ce_rows_grad(logits: Array, labels: Array, scale) -> Array:
+    """Gradient of ``scale * ce_rows_value(logits, labels).sum()``."""
+    lsm = log_softmax_rows(logits)
+    g = np.zeros_like(lsm)
+    g[np.arange(lsm.shape[0]), labels] = -scale
+    return _log_softmax_vjp(lsm, g)
+
+
+def kl_rows_grad(logits_p: Array, logits_q: Array, scale):
+    """Gradients of ``scale * kl_rows_value(logits_p, logits_q).sum()`` with
+    respect to ``logits_p`` and to ``logits_q``."""
+    lp = log_softmax_rows(logits_p)
+    lq = log_softmax_rows(logits_q)
+    p = np.exp(lp)
+    g_p = scale * (lp - lq) * p + scale * p
+    return _log_softmax_vjp(lp, g_p), _log_softmax_vjp(lq, -(scale * p))
+
+
+def row_std_grad(u: Array, scale) -> Array:
+    """Gradient of ``scale * row_std_value(u).sum()``.
+
+    A row with all-equal entries is a non-differentiable cusp; its gradient
+    is defined as 0, matching the subgradient convention for norms at the
+    origin.
     """
-
-    __slots__ = ("value", "grad", "track", "_parents", "_vjp")
-
-    def __init__(self, value, track=True):
-        self.value = as_f64(value)
-        self.grad = None
-        self.track = track
-        self._parents = ()
-        self._vjp = None
-
-    def __repr__(self):
-        return f"Var(shape={self.value.shape}, track={self.track})"
-
-
-def _node(value: Array, parents: tuple, vjp) -> Var:
-    out = Var(value, track=any(p.track for p in parents))
-    out._parents = parents
-    out._vjp = vjp
-    return out
-
-
-def _wrap(x) -> Var:
-    if isinstance(x, Var):
-        return x
-    return Var(x, track=False)
-
-
-def backward(root: Var) -> None:
-    """Accumulate gradients of the scalar ``root`` into every tracked leaf."""
-    if not isinstance(root, Var):
-        raise CapabilityError("backward expects a Var built from supported primitives")
-    if root.value.ndim != 0:
-        raise CapabilityError("backward requires a scalar loss")
-    order: list[Var] = []
-    seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen or not node.track:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node._parents:
-            if parent.track and id(parent) not in seen:
-                stack.append((parent, False))
-    root.grad = np.asarray(1.0)
-    for node in reversed(order):
-        if node._vjp is None or node.grad is None:
-            continue
-        for parent, contrib in zip(node._parents, node._vjp(node.grad)):
-            if contrib is None or not parent.track:
-                continue
-            parent.grad = contrib if parent.grad is None else parent.grad + contrib
-
-
-# ---------------------------------------------------------------------------
-# primitives
-
-
-def affine(x, w, b) -> Var:
-    """``x @ w + b`` for a row batch ``x`` of shape (B, n)."""
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.value.ndim != 2 or w.value.ndim != 2 or b.value.ndim != 1:
-        raise ShapeError("affine expects x:(B,n) w:(n,m) b:(m,)")
-    if x.value.shape[1] != w.value.shape[0] or w.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(
-            f"affine shape mismatch: x{x.value.shape} w{w.value.shape} b{b.value.shape}"
-        )
-    value = x.value @ w.value + b.value
-
-    def vjp(g):
-        gx = g @ w.value.T if x.track else None
-        gw = x.value.T @ g if w.track else None
-        gb = g.sum(axis=0) if b.track else None
-        return gx, gw, gb
-
-    return _node(value, (x, w, b), vjp)
-
-
-def relu(x: Var) -> Var:
-    x = _wrap(x)
-    value = np.maximum(x.value, 0.0)
-
-    def vjp(g):
-        return (g * (x.value > 0.0),)
-
-    return _node(value, (x,), vjp)
-
-
-def tanh(x: Var) -> Var:
-    x = _wrap(x)
-    value = np.tanh(x.value)
-
-    def vjp(g):
-        return (g * (1.0 - value * value),)
-
-    return _node(value, (x,), vjp)
-
-
-def log_softmax(x: Var) -> Var:
-    x = _wrap(x)
-    value = log_softmax_rows(x.value)
-
-    def vjp(g):
-        return (g - np.exp(value) * g.sum(axis=-1, keepdims=True),)
-
-    return _node(value, (x,), vjp)
-
-
-def pick(x: Var, labels) -> Var:
-    """Select one column per row: out[i] = x[i, labels[i]]."""
-    x = _wrap(x)
-    idx = np.asarray(labels, dtype=np.int64)
-    if x.value.ndim != 2 or idx.ndim != 1 or idx.shape[0] != x.value.shape[0]:
-        raise ShapeError("pick expects x:(B,K) and labels:(B,)")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.value.shape[1]):
-        raise IndexError("label index out of range")
-    rows = np.arange(x.value.shape[0])
-    value = x.value[rows, idx]
-
-    def vjp(g):
-        gx = np.zeros_like(x.value)
-        gx[rows, idx] = g
-        return (gx,)
-
-    return _node(value, (x,), vjp)
-
-
-def row_sum(x: Var) -> Var:
-    x = _wrap(x)
-    value = x.value.sum(axis=-1)
-
-    def vjp(g):
-        return (np.broadcast_to(g[..., None], x.value.shape),)
-
-    return _node(value, (x,), vjp)
-
-
-def row_std(x: Var) -> Var:
-    """Per-row population standard deviation.
-
-    The point with all-equal entries is a non-differentiable cusp; the
-    gradient there is defined as 0, matching the subgradient convention for
-    norms at the origin.
-    """
-    x = _wrap(x)
-    if x.value.ndim != 2:
-        raise ShapeError("row_std expects a (B, K) matrix")
-    k = x.value.shape[1]
-    centered = x.value - x.value.mean(axis=-1, keepdims=True)
+    centered = u - u.mean(axis=-1, keepdims=True)
     value = np.sqrt((centered * centered).mean(axis=-1))
-
-    def vjp(g):
-        inv = np.zeros_like(value)
-        nz = value > 0.0
-        inv[nz] = 1.0 / (k * value[nz])
-        return ((g * inv)[:, None] * centered,)
-
-    return _node(value, (x,), vjp)
-
-
-def exp(x: Var) -> Var:
-    x = _wrap(x)
-    value = np.exp(x.value)
-
-    def vjp(g):
-        return (g * value,)
-
-    return _node(value, (x,), vjp)
-
-
-def add(a, b) -> Var:
-    a, b = _wrap(a), _wrap(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
-
-    def vjp(g):
-        return g, g
-
-    return _node(a.value + b.value, (a, b), vjp)
-
-
-def sub(a, b) -> Var:
-    a, b = _wrap(a), _wrap(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"sub shape mismatch: {a.value.shape} vs {b.value.shape}")
-
-    def vjp(g):
-        return g, -g
-
-    return _node(a.value - b.value, (a, b), vjp)
-
-
-def mul(a, b) -> Var:
-    a, b = _wrap(a), _wrap(b)
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"mul shape mismatch: {a.value.shape} vs {b.value.shape}")
-
-    def vjp(g):
-        return g * b.value, g * a.value
-
-    return _node(a.value * b.value, (a, b), vjp)
-
-
-def neg(x: Var) -> Var:
-    x = _wrap(x)
-
-    def vjp(g):
-        return (-g,)
-
-    return _node(-x.value, (x,), vjp)
-
-
-def scale(x: Var, c: float) -> Var:
-    x = _wrap(x)
-    c = float(c)
-
-    def vjp(g):
-        return (g * c,)
-
-    return _node(x.value * c, (x,), vjp)
-
-
-def sum_all(x: Var) -> Var:
-    x = _wrap(x)
-    value = x.value.sum()
-
-    def vjp(g):
-        return (np.broadcast_to(as_f64(g), x.value.shape),)
-
-    return _node(value, (x,), vjp)
-
-
-def mean_all(x: Var) -> Var:
-    x = _wrap(x)
-    n = x.value.size
-    if n == 0:
-        raise ShapeError("mean of an empty array")
-    value = x.value.mean()
-
-    def vjp(g):
-        return (np.broadcast_to(as_f64(g) / n, x.value.shape),)
-
-    return _node(value, (x,), vjp)
+    inv = np.zeros_like(value)
+    nz = value > 0.0
+    inv[nz] = 1.0 / (u.shape[-1] * value[nz])
+    return (scale * inv)[:, None] * centered
 
 
 # ---------------------------------------------------------------------------

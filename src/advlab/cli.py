@@ -1,7 +1,7 @@
 """Command-line entry points: train, eval, heatmap, sweep, gradcheck.
 
-Exit codes are a published contract: 0 success, 2 configuration error,
-3 numeric failure, 4 checkpoint error, 5 gradient check failure.
+Exit codes are a published contract: 0 success, 2 configuration or data
+error, 3 numeric failure, 4 checkpoint error, 5 gradient check failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,14 @@ from .diagnostics import (
     stepsize_sweep,
 )
 from .diagnostics import dataset_certainty  # noqa: F401 (bench/tracing.py patches it)
-from .errors import CheckpointError, ConfigError, NumericError, TrainingAborted
+from .errors import (
+    CheckpointError,
+    ConfigError,
+    DataFormatError,
+    NumericError,
+    ShapeError,
+    TrainingAborted,
+)
 from .train import Checkpoint, load_checkpoint, save_checkpoint, train_run
 
 EXIT_OK = 0
@@ -200,8 +207,8 @@ def _parse_etas(raw) -> list:
         etas = [float(p) for p in raw.split(",") if p.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"invalid eta list {raw!r}: {exc}") from exc
-    if not etas or any(e < 0 for e in etas):
-        raise ConfigError(f"eta list must be non-empty and non-negative, got {raw!r}")
+    if not etas or not all(0.0 <= e < float("inf") for e in etas):
+        raise ConfigError(f"eta list must be non-empty, finite and non-negative, got {raw!r}")
     return etas
 
 
@@ -300,6 +307,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (DataFormatError, ShapeError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except CheckpointError as exc:
         print(f"checkpoint error: {exc}", file=sys.stderr)

@@ -99,9 +99,12 @@ class SectionView:
         if v is None:
             return default
         try:
-            return float(v)
+            f = float(v)
         except ValueError:
             self._fail(key, f"expected a number, got {v!r}")
+        if not np.isfinite(f):
+            self._fail(key, f"expected a finite number, got {v!r}")
+        return f
 
     def get_bool(self, key, default=None, required=False):
         v = self._raw(key, None, required)
@@ -135,9 +138,12 @@ class SectionView:
         if len(parts) != 2:
             self._fail(key, f"expected 'none' or 'lo,hi', got {v!r}")
         try:
-            return (float(parts[0]), float(parts[1]))
+            bounds = (float(parts[0]), float(parts[1]))
         except ValueError:
             self._fail(key, f"expected numeric bounds, got {v!r}")
+        if not np.isfinite(bounds).all():
+            self._fail(key, f"expected finite bounds, got {v!r}")
+        return bounds
 
     def reject_unknown(self):
         unknown = set(self.section) - self.used

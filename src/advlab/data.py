@@ -123,7 +123,11 @@ def _read_exact(f, n, offset, path):
 
 
 def _read_idx_array(path, expect_ndim):
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror}") from exc
+    with f:
         header = _read_exact(f, 4, 0, path)
         zeros, dtype_code, ndim = header[:2], header[2], header[3]
         if zeros != b"\x00\x00" or dtype_code != 0x08:
@@ -196,10 +200,6 @@ def batches(dataset: Dataset, batch_size, epoch_seed):
         idx = perm[start : start + batch_size]
         out.append(Batch(dataset.inputs[idx], dataset.labels[idx]))
     return out
-
-
-def whole_batch(dataset: Dataset) -> Batch:
-    return Batch(dataset.inputs, dataset.labels)
 
 
 def slices(dataset: Dataset, size=256):

@@ -13,10 +13,6 @@ class ShapeError(AdvlabError, ValueError):
     """Operands with incompatible or malformed shapes."""
 
 
-class CapabilityError(AdvlabError, TypeError):
-    """A loss graph used an operation the differentiation core does not support."""
-
-
 class NumericError(AdvlabError, ArithmeticError):
     """A computation produced non-finite values."""
 

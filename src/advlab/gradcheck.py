@@ -1,11 +1,11 @@
 """Finite-difference verification of every gradient path.
 
-Each randomized case builds a small model and batch, computes the reverse-mode
-gradient and a central-difference oracle over the flattened parameters (or the
-inputs), and reports the worst relative error. Cases are resampled when any
-relu pre-activation or logit spread sits within the guard margin of a
-non-differentiable point, since finite differences are meaningless across a
-kink.
+Each randomized case builds a small model and batch, computes the gradient
+with the function training and the attacks use, and a central-difference
+oracle over the flattened parameters (or the inputs), and reports the worst
+relative error. Cases are resampled when any relu pre-activation or logit
+spread sits within the guard margin of a non-differentiable point, since
+finite differences are meaningless across a kink.
 """
 
 from __future__ import annotations
@@ -14,20 +14,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackConfig, generate_batch
+from .attack import AdversarialBatch, AttackConfig, _ce_grad_x, generate_batch
 from .autodiff import ce_rows_value, finite_diff_grad, row_std_value
 from .data import Batch
 from .errors import ConfigError
 from .netcore import (
+    DiffModel,
     ModelSpec,
     ModelState,
     finite_diff_param_grad,
     forward_logits,
-    grad_input,
-    grad_params,
     init_model,
 )
-from .objective import ce_mean_graph, grad_certainty_frozen, robust_loss_graph, ObjectiveKind
+from .objective import (
+    ObjectiveKind,
+    certainty_value,
+    grad_certainty_frozen,
+    robust_grad,
+    robust_loss,
+)
 
 KINK_MARGIN = 1e-3
 DEFAULT_TOLERANCE = 1e-4
@@ -51,25 +56,15 @@ def rel_err(approx, exact) -> float:
     return float(np.abs(approx - exact).max(initial=0.0)) / denom
 
 
-def _pre_activations(model: ModelState, x):
-    """Hidden-layer pre-activation values, used to veto kink-adjacent cases."""
-    z = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    out = []
-    last = len(model.spec.layer_widths) - 1
-    for i in range(last):
-        z = z @ model.params[f"w{i}"] + model.params[f"b{i}"]
-        out.append(z)
-        z = np.maximum(z, 0.0) if model.spec.activation == "relu" else np.tanh(z)
-    return out
-
-
 def _clear_of_kinks(model: ModelState, x) -> bool:
+    """No hidden relu pre-activation and no logit spread near its kink."""
+    dm = DiffModel(model)
+    logits = dm.logits(x)
     if model.spec.activation == "relu":
-        for pre in _pre_activations(model, x):
+        for _, pre in dm.tape[:-1]:
             if np.abs(pre).min(initial=np.inf) < KINK_MARGIN:
                 return False
-    spread = row_std_value(np.atleast_2d(forward_logits(model, x)))
-    return spread.min(initial=np.inf) >= KINK_MARGIN
+    return row_std_value(logits).min(initial=np.inf) >= KINK_MARGIN
 
 
 def _random_case(rng, max_tries=50):
@@ -89,25 +84,27 @@ def _random_case(rng, max_tries=50):
     raise RuntimeError("could not sample a kink-free gradient-check case")
 
 
-def _ce_loss_of_params(spec, batch):
+def _robust_grad_err(model, adv, objective, h, fault) -> float:
+    g = robust_grad(model, adv, objective)
+
     def loss(params):
-        logits = forward_logits(ModelState(spec, params), batch.inputs)
-        return float(ce_rows_value(logits, batch.labels).mean())
-    return loss
+        return robust_loss(ModelState(model.spec, params), adv, objective)
+
+    fd = finite_diff_param_grad(loss, model.params, h)
+    return rel_err(g.flatten() + fault, fd.flatten())
 
 
-def check_grad_params(cases=100, h=1e-5, seed=0, fault=0.0) -> GradCheckResult:
+def check_ce_grad(cases=100, h=1e-5, seed=0, fault=0.0) -> GradCheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
         model, batch = _random_case(rng)
-        g = grad_params(lambda dm, b: ce_mean_graph(dm, b.inputs, b.labels), model, batch)
-        fd = finite_diff_param_grad(_ce_loss_of_params(model.spec, batch), model.params, h)
-        worst = max(worst, rel_err(g.flatten() + fault, fd.flatten()))
+        clean = AdversarialBatch(batch.inputs, batch.inputs, batch.labels, AttackConfig())
+        worst = max(worst, _robust_grad_err(model, clean, ObjectiveKind("at_ce"), h, fault))
     return GradCheckResult("grad_params", cases, worst)
 
 
-def check_grad_params_trades(cases=25, h=1e-5, seed=1, fault=0.0) -> GradCheckResult:
+def check_trades_grad(cases=25, h=1e-5, seed=1, fault=0.0) -> GradCheckResult:
     rng = np.random.default_rng(seed)
     objective = ObjectiveKind("trades", trades_beta=2.0)
     worst = 0.0
@@ -116,38 +113,19 @@ def check_grad_params_trades(cases=25, h=1e-5, seed=1, fault=0.0) -> GradCheckRe
         perturbed = batch.inputs + rng.normal(0.0, 0.05, size=batch.inputs.shape)
         if not _clear_of_kinks(model, perturbed):
             continue
-        adv = _FrozenAdv(batch.inputs, perturbed, batch.labels)
-        g = grad_params(lambda dm, a: robust_loss_graph(dm, a, objective), model, adv)
-
-        def loss(params, adv=adv):
-            from .objective import robust_loss
-            return robust_loss(ModelState(model.spec, params), adv, objective)
-
-        fd = finite_diff_param_grad(loss, model.params, h)
-        worst = max(worst, rel_err(g.flatten() + fault, fd.flatten()))
+        # noise of sd 0.05 stays far inside the radius 1
+        adv = AdversarialBatch(batch.inputs, perturbed, batch.labels, AttackConfig(epsilon=1.0))
+        worst = max(worst, _robust_grad_err(model, adv, objective, h, fault))
     return GradCheckResult("grad_params_trades", cases, worst)
 
 
-class _FrozenAdv:
-    """Pre-perturbed stand-in for an attack batch (no feasibility coupling)."""
-
-    def __init__(self, originals, perturbed, labels):
-        self.originals = np.asarray(originals, dtype=np.float64)
-        self.perturbed = np.asarray(perturbed, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-
-
-def check_grad_input(cases=100, h=1e-5, seed=2, fault=0.0) -> GradCheckResult:
+def check_input_grad(cases=100, h=1e-5, seed=2, fault=0.0) -> GradCheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
         model, batch = _random_case(rng)
         x, y = batch.inputs[0], int(batch.labels[0])
-
-        def loss_graph(dm, xv, yy):
-            return ce_mean_graph(dm, xv, np.array([yy]))
-
-        g = grad_input(loss_graph, model, x, y)
+        g = _ce_grad_x(model, x[None, :], np.array([y]))[0]
 
         def loss_of_x(xx):
             return float(ce_rows_value(forward_logits(model, xx[None, :]), np.array([y]))[0])
@@ -157,7 +135,7 @@ def check_grad_input(cases=100, h=1e-5, seed=2, fault=0.0) -> GradCheckResult:
     return GradCheckResult("grad_input", cases, worst)
 
 
-def check_grad_certainty(cases=100, h=1e-5, seed=3, fault=0.0,
+def check_certainty_grad(cases=100, h=1e-5, seed=3, fault=0.0,
                          attack: AttackConfig | None = None) -> GradCheckResult:
     """Certainty gradient with the attack outputs frozen as constants."""
     rng = np.random.default_rng(seed)
@@ -171,25 +149,22 @@ def check_grad_certainty(cases=100, h=1e-5, seed=3, fault=0.0,
         if not _clear_of_kinks(model, frozen):
             continue
         g = grad_certainty_frozen(model, frozen)
-
-        def loss(params):
-            logits = forward_logits(ModelState(model.spec, params), frozen)
-            return float(row_std_value(logits).mean())
-
-        fd = finite_diff_param_grad(loss, model.params, h)
+        fd = finite_diff_param_grad(
+            lambda params: certainty_value(ModelState(model.spec, params), frozen),
+            model.params, h)
         worst = max(worst, rel_err(g.flatten() + fault, fd.flatten()))
         done += 1
     return GradCheckResult("grad_certainty_frozen", cases, worst)
 
 
 def run_all(cases=100, h=1e-5, fault=0.0, attack=None):
-    """The full gradient gate; ``fault`` perturbs the reverse-mode side to
+    """The full gradient gate; ``fault`` perturbs the checked gradients to
     exercise the failure path."""
     if not h > 0:
         raise ConfigError(f"finite-difference step must be positive, got {h}")
     return [
-        check_grad_params(cases=cases, h=h, fault=fault),
-        check_grad_params_trades(cases=max(5, cases // 4), h=h, fault=fault),
-        check_grad_input(cases=cases, h=h, fault=fault),
-        check_grad_certainty(cases=cases, h=h, fault=fault, attack=attack),
+        check_ce_grad(cases=cases, h=h, fault=fault),
+        check_trades_grad(cases=max(5, cases // 4), h=h, fault=fault),
+        check_input_grad(cases=cases, h=h, fault=fault),
+        check_certainty_grad(cases=cases, h=h, fault=fault, attack=attack),
     ]

@@ -2,6 +2,9 @@
 
 Arrays are 64-bit floats throughout; model parameters are immutable once
 constructed, so states can be shared freely between threads and attacks.
+One layer loop (``_forward``) computes every forward pass; ``DiffModel``
+records its layer inputs and pre-activations, and ``backward`` carries a
+gradient with respect to the logits back to the parameters or the input.
 """
 
 from __future__ import annotations
@@ -10,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff
-from .autodiff import Var, as_f64, backward, finite_diff_grad  # noqa: F401 (re-exported)
-from .errors import CapabilityError, ConfigError, NumericError, ShapeError
+from .autodiff import as_f64, finite_diff_grad
+from .errors import ConfigError, NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh")
 
@@ -105,9 +107,6 @@ class ParamVector:
         if self.layout() != other.layout():
             return False
         return all(np.array_equal(self._arrays[n], other._arrays[n]) for n in self._names)
-
-    def max_abs(self) -> float:
-        return max((float(np.abs(a).max()) for a in self._arrays.values() if a.size), default=0.0)
 
     def __repr__(self):
         return f"ParamVector({self.layout()})"
@@ -208,16 +207,28 @@ def _as_rows(x, input_dim: int):
     raise ShapeError(f"input must be 1-D or 2-D, got shape {x.shape}")
 
 
-def forward_logits(model: ModelState, x) -> np.ndarray:
-    """Logits of ``x`` under ``model``; accepts a single input or a row batch."""
-    rows, single = _as_rows(x, model.spec.input_dim)
+def _forward(model: ModelState, rows, tape=None):
+    """The MLP layer loop over a row batch; appends (layer input,
+    pre-activation) per layer to ``tape`` when one is given."""
     use_relu = model.spec.activation == "relu"
     z = rows
     last = len(model.spec.layer_widths) - 1
     for i in range(last + 1):
-        z = z @ model.params[f"w{i}"] + model.params[f"b{i}"]
+        # only x and z name arrays, so without a tape each layer's input is
+        # freed as soon as the next layer starts
+        x = z
+        z = x @ model.params[f"w{i}"] + model.params[f"b{i}"]
+        if tape is not None:
+            tape.append((x, z))
         if i < last:
             z = np.maximum(z, 0.0) if use_relu else np.tanh(z)
+    return z
+
+
+def forward_logits(model: ModelState, x) -> np.ndarray:
+    """Logits of ``x`` under ``model``; accepts a single input or a row batch."""
+    rows, single = _as_rows(x, model.spec.input_dim)
+    z = _forward(model, rows)
     if not np.isfinite(z).all():
         raise NumericError("forward pass produced non-finite logits")
     return z[0] if single else z
@@ -230,80 +241,52 @@ def predict_label(model: ModelState, x):
 
 
 class DiffModel:
-    """Differentiable view of a ModelState: parameters wrapped as graph leaves.
+    """One recorded forward pass of a model, for ``backward``.
 
-    ``logits`` may be called several times on one instance (e.g. clean and
-    perturbed inputs); gradients accumulate across calls.
+    ``logits`` keeps every layer's input and pre-activation; a second call
+    replaces the record.
     """
 
-    def __init__(self, model: ModelState, track_params: bool = True):
-        self.spec = model.spec
-        self.pvars = {name: Var(arr, track=track_params) for name, arr in model.params.items()}
+    def __init__(self, model: ModelState):
+        self.model = model
+        self.tape = []
 
-    def logits(self, x) -> Var:
-        v = x if isinstance(x, Var) else Var(x, track=False)
-        if v.value.ndim != 2 or v.value.shape[1] != self.spec.input_dim:
+    def logits(self, x) -> np.ndarray:
+        x = as_f64(x)
+        if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != self.model.spec.input_dim:
             raise ShapeError(
-                f"logits expects a (B, {self.spec.input_dim}) batch, got {v.value.shape}"
+                f"logits expects a non-empty (B, {self.model.spec.input_dim}) batch, "
+                f"got {x.shape}"
             )
-        z = v
-        last = len(self.spec.layer_widths) - 1
-        for i in range(last + 1):
-            z = autodiff.affine(z, self.pvars[f"w{i}"], self.pvars[f"b{i}"])
-            if i < last:
-                z = autodiff.relu(z) if self.spec.activation == "relu" else autodiff.tanh(z)
-        return z
-
-    def param_grads(self, template: ParamVector) -> ParamVector:
-        """Collected gradients in template order; untouched segments are zero."""
-        out = []
-        for name, arr in template.items():
-            g = self.pvars[name].grad
-            out.append((name, np.zeros_like(arr) if g is None else g))
-        return ParamVector(out)
+        self.tape = []
+        return _forward(self.model, x, self.tape)
 
 
-def _run_loss(loss_fn, *args) -> Var:
-    try:
-        out = loss_fn(*args)
-    except (TypeError, AttributeError) as exc:
-        raise CapabilityError(f"loss used an unsupported operation: {exc}") from exc
-    if not isinstance(out, Var):
-        raise CapabilityError("loss must return a Var built from supported primitives")
-    if out.value.ndim != 0:
-        raise CapabilityError(f"loss must be scalar, got shape {out.value.shape}")
-    return out
+def backward(dm: DiffModel, dlogits, inputs=False):
+    """Carry a gradient with respect to ``dm``'s logits back through its
+    recorded forward pass.
 
-
-def value_and_grad_params(loss_fn, model: ModelState, *args):
-    """Loss value and its exact gradient with respect to every parameter.
-
-    ``loss_fn(diff_model, *args)`` must build a scalar Var from the supported
-    primitives.
+    Returns the gradient with respect to every parameter as a ParamVector
+    or, with ``inputs``, the gradient with respect to the recorded input
+    rows, the parameters held fixed.
     """
-    dm = DiffModel(model)
-    out = _run_loss(loss_fn, dm, *args)
-    backward(out)
-    return float(out.value), dm.param_grads(model.params)
-
-
-def grad_params(loss_fn, model: ModelState, *args) -> ParamVector:
-    return value_and_grad_params(loss_fn, model, *args)[1]
-
-
-def grad_input(loss_fn, model: ModelState, x, y) -> np.ndarray:
-    """Gradient of the loss with respect to the input, parameters held fixed.
-
-    ``loss_fn(diff_model, x_var, y)`` must build a scalar Var; ``x`` may be a
-    single input or a row batch.
-    """
-    rows, single = _as_rows(x, model.spec.input_dim)
-    dm = DiffModel(model, track_params=False)
-    xv = Var(rows)
-    out = _run_loss(loss_fn, dm, xv, y)
-    backward(out)
-    g = np.zeros_like(rows) if xv.grad is None else xv.grad
-    return g[0] if single else g
+    params = dm.model.params
+    use_relu = dm.model.spec.activation == "relu"
+    grads = {}
+    g = dlogits
+    for i in reversed(range(len(dm.tape))):
+        x, _ = dm.tape[i]
+        if not inputs:
+            grads[f"w{i}"] = x.T @ g
+            grads[f"b{i}"] = g.sum(axis=0)
+            if i == 0:
+                return ParamVector((name, grads[name]) for name in params.names)
+        g = g @ params[f"w{i}"].T
+        if i > 0:
+            # x is this layer's input: the previous layer's activation
+            pre = dm.tape[i - 1][1]
+            g = g * (pre > 0.0) if use_relu else g * (1.0 - x * x)
+    return g
 
 
 def finite_diff_param_grad(loss_of_params, params: ParamVector, h=1e-5) -> ParamVector:

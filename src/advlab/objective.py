@@ -13,19 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff
 from .autodiff import (
     as_f64,
-    backward,
+    ce_rows_grad,
     ce_rows_value,
+    kl_rows_grad,
     kl_rows_value,
     log_softmax_rows,
+    row_std_grad,
     row_std_value,
 )
 from .attack import AdversarialBatch, AttackConfig, generate_batch
 from .data import Batch
 from .errors import ConfigError, ShapeError
-from .netcore import DiffModel, ModelState, ParamVector, forward_logits
+from .netcore import DiffModel, ModelState, ParamVector, backward, forward_logits
 
 OBJECTIVE_KINDS = ("at_ce", "trades")
 
@@ -98,33 +99,23 @@ def robust_loss(model: ModelState, adv_batch: AdversarialBatch,
     return trades_loss(model, clean, adv_batch.perturbed, objective.trades_beta)
 
 
-# ---------------------------------------------------------------------------
-# graph builders shared with the training updates
+def robust_grad(model: ModelState, adv_batch: AdversarialBatch,
+                objective: ObjectiveKind) -> ParamVector:
+    """Parameter gradient of ``robust_loss``, the attack outputs held fixed.
 
-
-def ce_mean_graph(dm: DiffModel, inputs, labels):
-    rows = autodiff.neg(autodiff.pick(autodiff.log_softmax(dm.logits(inputs)), labels))
-    return autodiff.mean_all(rows)
-
-
-def kl_mean_graph(dm: DiffModel, clean_inputs, adv_inputs):
-    lp = autodiff.log_softmax(dm.logits(clean_inputs))
-    lq = autodiff.log_softmax(dm.logits(adv_inputs))
-    rows = autodiff.row_sum(autodiff.mul(autodiff.exp(lp), autodiff.sub(lp, lq)))
-    return autodiff.mean_all(rows)
-
-
-def robust_loss_graph(dm: DiffModel, adv_batch: AdversarialBatch,
-                      objective: ObjectiveKind):
+    TRADES sums three backward passes, clean cross-entropy, clean-side KL and
+    adversarial-side KL, in that order: the order fixes the rounding.
+    """
+    n = len(adv_batch)
+    adv = DiffModel(model)
+    adv_logits = adv.logits(adv_batch.perturbed)
     if objective.kind == "at_ce":
-        return ce_mean_graph(dm, adv_batch.perturbed, adv_batch.labels)
-    ce = ce_mean_graph(dm, adv_batch.originals, adv_batch.labels)
-    kl = kl_mean_graph(dm, adv_batch.originals, adv_batch.perturbed)
-    return autodiff.add(ce, autodiff.scale(kl, objective.trades_beta))
-
-
-def certainty_graph(dm: DiffModel, adv_inputs):
-    return autodiff.mean_all(autodiff.row_std(dm.logits(adv_inputs)))
+        return backward(adv, ce_rows_grad(adv_logits, adv_batch.labels, 1.0 / n))
+    clean = DiffModel(model)
+    clean_logits = clean.logits(adv_batch.originals)
+    d_clean, d_adv = kl_rows_grad(clean_logits, adv_logits, objective.trades_beta / n)
+    ce = backward(clean, ce_rows_grad(clean_logits, adv_batch.labels, 1.0 / n))
+    return (ce + backward(clean, d_clean)) + backward(adv, d_adv)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +157,12 @@ def grad_adversarial_certainty(model: ModelState, batch: Batch,
     return grad_certainty_frozen(model, adv.perturbed)
 
 
-def grad_certainty_frozen(model: ModelState, adv_inputs) -> ParamVector:
+def grad_certainty_frozen(model: ModelState, adv_inputs, weight=1.0) -> ParamVector:
+    """Parameter gradient of ``weight`` times the mean logit spread on fixed
+    inputs."""
     dm = DiffModel(model)
-    out = certainty_graph(dm, as_f64(adv_inputs))
-    backward(out)
-    return dm.param_grads(model.params)
+    logits = dm.logits(adv_inputs)
+    return backward(dm, row_std_grad(logits, weight / logits.shape[0]))
 
 
 def certainty_value(model: ModelState, adv_inputs) -> float:
@@ -190,9 +182,6 @@ __all__ = [
     "grad_certainty_frozen",
     "certainty_report",
     "certainty_value",
-    "certainty_graph",
-    "robust_loss_graph",
-    "ce_mean_graph",
-    "kl_mean_graph",
+    "robust_grad",
     "log_softmax_rows",
 ]

@@ -45,16 +45,9 @@ from .errors import (
     ShapeError,
     TrainingAborted,
 )
-from .netcore import DiffModel, ModelSpec, ModelState, ParamVector, init_model
-from .autodiff import backward
-from .objective import (
-    ObjectiveKind,
-    certainty_graph,
-    certainty_value,
-    grad_certainty_frozen,
-    robust_loss_graph,
-)
-from . import autodiff
+from .netcore import ModelSpec, ModelState, ParamVector, init_model
+from .netcore import backward  # noqa: F401 (bench/tracing.py patches it)
+from .objective import ObjectiveKind, certainty_value, grad_certainty_frozen, robust_grad
 
 log = logging.getLogger(__name__)
 
@@ -104,9 +97,9 @@ class TrainConfig:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
-        if self.edac_eta < 0:
+        if not self.edac_eta >= 0:
             raise ConfigError(f"edac_eta must be non-negative, got {self.edac_eta}")
-        if self.edac_reg_lambda < 0:
+        if not self.edac_reg_lambda >= 0:
             raise ConfigError(f"edac_reg_lambda must be non-negative, got {self.edac_reg_lambda}")
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
@@ -178,17 +171,11 @@ def _apply_sgd(model: ModelState, grad: ParamVector, config: TrainConfig, opt: O
     return ModelState(model.spec, new_params), OptState(new_buf, opt.epoch, opt.step + 1)
 
 
-def _robust_grad(model: ModelState, adv, config: TrainConfig) -> ParamVector:
-    dm = DiffModel(model)
-    backward(robust_loss_graph(dm, adv, config.objective))
-    return dm.param_grads(model.params)
-
-
 def at_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state: OptState):
     """Attack at the current weights, one SGD step on the robust surrogate."""
     adv = generate_batch(model, batch, config.train_attack,
                          rng=_train_rng(config, opt_state, STREAM_ROB))
-    return _apply_sgd(model, _robust_grad(model, adv, config), config, opt_state)
+    return _apply_sgd(model, robust_grad(model, adv, config.objective), config, opt_state)
 
 
 def edac_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state: OptState):
@@ -223,7 +210,7 @@ def edac_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state:
     if eta == 0.0:
         adv = generate_batch(model, batch, config.train_attack,
                              rng=_train_rng(config, opt_state, STREAM_ROB))
-        new_model, new_opt = _apply_sgd(model, _robust_grad(model, adv, config),
+        new_model, new_opt = _apply_sgd(model, robust_grad(model, adv, config.objective),
                                         config, opt_state)
         ac = certainty_value(model, adv.perturbed)
         return new_model, new_opt, HalfStepReport(ac, ac, 0.0)
@@ -243,7 +230,7 @@ def edac_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state:
     adv1 = generate_batch(half_model, batch, config.train_attack,
                           rng=_train_rng(config, opt_state, STREAM_ROB))
     ac_after = certainty_value(half_model, adv1.perturbed)
-    new_model, new_opt = _apply_sgd(half_model, _robust_grad(half_model, adv1, config),
+    new_model, new_opt = _apply_sgd(half_model, robust_grad(half_model, adv1, config.objective),
                                     config, opt_state)
     return new_model, new_opt, HalfStepReport(ac_before, ac_after, eta)
 
@@ -254,12 +241,10 @@ def edac_reg_update(model: ModelState, batch: Batch, config: TrainConfig,
     adv = generate_batch(model, batch, config.train_attack,
                          rng=_train_rng(config, opt_state, STREAM_ROB))
     lam = config.edac_reg_lambda
-    dm = DiffModel(model)
-    loss = robust_loss_graph(dm, adv, config.objective)
+    grad = robust_grad(model, adv, config.objective)
     if lam != 0.0:
-        loss = autodiff.add(loss, autodiff.scale(certainty_graph(dm, adv.perturbed), lam))
-    backward(loss)
-    return _apply_sgd(model, dm.param_grads(model.params), config, opt_state)
+        grad = grad + grad_certainty_frozen(model, adv.perturbed, lam)
+    return _apply_sgd(model, grad, config, opt_state)
 
 
 def apply_update(model, batch, config, opt_state):
@@ -345,7 +330,8 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     the earliest one maximising held-out robust accuracy. With
     ``resume_from``, training continues after that checkpoint's epoch and
     reproduces the uninterrupted run bitwise; the resumed checkpoint starts
-    as the incumbent best.
+    as the incumbent best. Its ``base_seed`` must equal ``config.seed``,
+    or the two halves would come from different runs.
     """
     train_set, test_set = data
     if isinstance(model, ModelSpec):
@@ -357,6 +343,11 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     best: Optional[Checkpoint] = None
     last: Optional[Checkpoint] = None
     if resume_from is not None:
+        if resume_from.rng_state.get("base_seed") != config.seed:
+            raise CheckpointError(
+                f"checkpoint base_seed {resume_from.rng_state.get('base_seed')} "
+                f"does not match the config seed {config.seed}"
+            )
         model = resume_from.model
         start_epoch = resume_from.epoch + 1
         opt = OptState(resume_from.optimizer_momentum, start_epoch, 0)

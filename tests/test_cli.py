@@ -138,6 +138,33 @@ class TestTrainCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.ini")]) == 2
 
+    @pytest.mark.parametrize("old,new", [
+        ("seed = 3", "seed = 3\nedac_eta = nan"),
+        ("noise_std = 0.8", "noise_std = nan"),
+        ("[eval.pgd5]\nnorm = linf\nepsilon = 0.25", "[eval.pgd5]\nnorm = linf\nepsilon = nan"),
+    ])
+    def test_non_finite_config_number_exit_2(self, quick_config, old, new, capsys):
+        cfg, out = quick_config(**{old: new})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "expected a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["truncated", "missing"])
+    def test_idx_file_error_exit_2(self, tmp_path, capsys, case):
+        images = np.arange(4 * 2 * 2, dtype=np.uint8).reshape(4, 2, 2)
+        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+        blob = b"\x00\x00\x08\x03" + struct.pack(">III", 4, 2, 2) + images.tobytes()
+        if case == "truncated":
+            ip.write_bytes(blob[:-3])
+        lp.write_bytes(b"\x00\x00\x08\x01" + struct.pack(">I", 4) + bytes([0, 1, 0, 1]))
+        text = QUICK.format(out=tmp_path / "run")
+        dataset = text[text.index("[dataset]"):text.index("[model]")]
+        text = text.replace(dataset, f"[dataset]\nkind = idx\nimages = {ip}\nlabels = {lp}\n\n")
+        cfg = tmp_path / "idx.ini"
+        cfg.write_text(text)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {ip}")
+
 
 class TestEvalCommand:
     def test_eval_writes_report(self, quick_config):
@@ -264,6 +291,10 @@ class TestSweepCommand:
                      str(out / "last.ckpt"), "--etas", "0,banana"]) == 2
         assert main(["sweep", "--config", str(cfg), "--checkpoint",
                      str(out / "last.ckpt"), "--etas", "-1"]) == 2
+        for etas in ("0,nan", "inf"):
+            assert main(["sweep", "--config", str(cfg), "--checkpoint",
+                         str(out / "last.ckpt"), "--etas", etas]) == 2
+        assert not (out / "sweep.csv").exists()
 
 
 class TestGradcheckCommand:

@@ -114,6 +114,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="lr"):
             parse_config(bad, "bad.ini")
 
+    @pytest.mark.parametrize("old,new", [
+        ("edac_eta = 0.02", "edac_eta = nan"),
+        ("noise_std = 0.8", "noise_std = inf"),
+        ("[eval.pgd10]\nnorm = linf\nepsilon = 0.25", "[eval.pgd10]\nnorm = linf\nepsilon = -inf"),
+        ("epsilon = 0.25\nstep_size = 0.0625", "epsilon = 0.25\nclamp = 0,inf\nstep_size = 0.0625"),
+    ])
+    def test_non_finite_number_rejected(self, old, new):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(GOOD.replace(old, new), "bad.ini")
+
     def test_bad_choice_rejected(self):
         bad = GOOD.replace("method = edac", "method = mart")
         with pytest.raises(ConfigError, match="method"):

@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
-from advlab.autodiff import ce_rows_value, softmax_rows
+from advlab.autodiff import ce_rows_grad, ce_rows_value, finite_diff_grad, softmax_rows
 from advlab.data import Batch
-from advlab.errors import CapabilityError, ConfigError, ShapeError
+from advlab.errors import ConfigError, ShapeError
 from advlab.netcore import (
+    DiffModel,
     ModelSpec,
     ModelState,
     ParamVector,
+    backward,
     finite_diff_param_grad,
     forward_logits,
-    grad_input,
-    grad_params,
     init_bound,
     init_model,
     predict_label,
 )
-from advlab.objective import ce_mean_graph
 from conftest import model_from_arrays
 
 
@@ -160,18 +159,25 @@ class TestPredict:
             assert predict_label(model, u) == predict_label(shifted, u)
 
 
+def ce_grads(model, x, y):
+    """Mean cross-entropy gradients through the recorded forward pass:
+    (parameter ParamVector, input rows)."""
+    dm = DiffModel(model)
+    dlogits = ce_rows_grad(dm.logits(x), y, 1.0 / len(y))
+    return backward(dm, dlogits), backward(dm, dlogits, inputs=True)
+
+
 class TestGradients:
     def test_constant_loss_zero_grad(self):
         model = init_model(ModelSpec(2, (3, 2), "relu", 0))
-        from advlab.autodiff import Var, mean_all
-
-        g = grad_params(lambda dm, b: mean_all(Var(np.zeros((1, 1)))), model, None)
+        dm = DiffModel(model)
+        g = backward(dm, np.zeros_like(dm.logits(np.ones((1, 2)))))
         assert all(np.all(arr == 0.0) for _, arr in g.items())
 
     def test_ce_grad_matches_fd(self, rng):
         model = init_model(ModelSpec(4, (6, 3), "tanh", 3))
         batch = Batch(rng.normal(size=(5, 4)), rng.integers(0, 3, size=5))
-        g = grad_params(lambda dm, b: ce_mean_graph(dm, b.inputs, b.labels), model, batch)
+        g, _ = ce_grads(model, batch.inputs, batch.labels)
 
         def loss(params):
             logits = forward_logits(ModelState(model.spec, params), batch.inputs)
@@ -181,12 +187,41 @@ class TestGradients:
         err = np.abs(g.flatten() - fd.flatten()).max()
         assert err < 1e-6 * max(1.0, np.abs(fd.flatten()).max())
 
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_backward_matches_fd_through_two_hidden_layers(self, rng, activation):
+        model = init_model(ModelSpec(3, (5, 4, 3), activation, 4))
+        x = rng.normal(size=(4, 3))
+        y = np.array([0, 1, 2, 1])
+        dm = DiffModel(model)
+        dm.logits(x)
+        pre = np.concatenate([p.ravel() for _, p in dm.tape[:-1]])
+        assert np.abs(pre).min() > 1e-3  # finite differences need no relu kink
+        g, gx = ce_grads(model, x, y)
+
+        def loss(params):
+            logits = forward_logits(ModelState(model.spec, params), x)
+            return float(ce_rows_value(logits, y).mean())
+
+        fd = finite_diff_param_grad(loss, model.params)
+        assert np.abs(g.flatten() - fd.flatten()).max() < 1e-7
+        fd_x = finite_diff_grad(lambda t: float(ce_rows_value(forward_logits(model, t), y).mean()), x)
+        assert np.abs(gx - fd_x).max() < 1e-7
+
+    def test_diff_logits_record_the_one_forward_pass(self, rng):
+        model = init_model(ModelSpec(3, (5, 4, 2), "tanh", 1))
+        x = rng.normal(size=(6, 3))
+        dm = DiffModel(model)
+        logits = dm.logits(x)
+        assert np.array_equal(logits, forward_logits(model, x))
+        assert len(dm.tape) == 3
+        assert np.array_equal(dm.tape[0][0], x)
+        assert np.array_equal(dm.tape[1][0], np.tanh(dm.tape[0][1]))
+        assert np.array_equal(dm.tape[2][1], logits)
+
     def test_grad_input_zero_when_loss_ignores_x(self):
         model = init_model(ModelSpec(3, (4, 2), "relu", 0))
-        from advlab.autodiff import Var, mean_all
-
-        g = grad_input(lambda dm, xv, y: mean_all(Var(np.ones((1, 1)))), model,
-                       np.zeros(3), 0)
+        dm = DiffModel(model)
+        g = backward(dm, np.zeros_like(dm.logits(np.zeros((1, 3)))), inputs=True)
         assert np.all(g == 0.0)
 
     def test_grad_input_linear_ce_analytic(self):
@@ -195,29 +230,18 @@ class TestGradients:
         model = model_from_arrays(3, [(w, np.zeros(2))])
         x = np.array([0.3, -0.7, 1.1])
         y = 0
-        g = grad_input(lambda dm, xv, yy: ce_mean_graph(dm, xv, np.array([yy])),
-                       model, x, y)
+        _, g = ce_grads(model, x[None, :], np.array([y]))
         p = softmax_rows((x @ w)[None, :])[0]
         p[y] -= 1.0
-        assert np.allclose(g, w @ p, rtol=0, atol=1e-12)
+        assert np.allclose(g[0], w @ p, rtol=0, atol=1e-12)
 
     def test_grad_input_matches_fd(self, rng):
         model = init_model(ModelSpec(5, (7, 3), "tanh", 9))
         x = rng.normal(size=5)
         y = 2
-        g = grad_input(lambda dm, xv, yy: ce_mean_graph(dm, xv, np.array([yy])),
-                       model, x, y)
-        from advlab.autodiff import finite_diff_grad
-
+        _, g = ce_grads(model, x[None, :], np.array([y]))
         fd = finite_diff_grad(
             lambda t: float(ce_rows_value(forward_logits(model, t[None, :]), np.array([y]))[0]),
             x,
         )
-        assert np.abs(g - fd).max() < 1e-6
-
-    def test_unsupported_loss_raises_capability_error(self):
-        model = init_model(ModelSpec(2, (3, 2)))
-        with pytest.raises(CapabilityError):
-            grad_params(lambda dm, b: 3.14, model, None)
-        with pytest.raises(CapabilityError):
-            grad_params(lambda dm, b: dm.logits(np.zeros((1, 2))) ** 2, model, None)
+        assert np.abs(g[0] - fd).max() < 1e-6

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from advlab.attack import AttackConfig
+from advlab.autodiff import ce_rows_grad
 from advlab.data import Batch, make_gaussian_mixture
 from advlab.errors import CheckpointError, ConfigError, TrainingAborted
-from advlab.netcore import ModelSpec, ModelState, ParamVector, init_model
+from advlab.netcore import DiffModel, ModelSpec, ModelState, ParamVector, backward, init_model
 from advlab.objective import ObjectiveKind, certainty_value, grad_certainty_frozen
 from advlab.train import (
     Checkpoint,
@@ -43,6 +44,12 @@ def tiny_config(method="at", **kw):
 
 def pv(*vals):
     return ParamVector([("w0", np.asarray(vals, dtype=np.float64))])
+
+
+def ce_grad(model, adv):
+    """Reference robust gradient: mean cross-entropy over the attacked rows."""
+    dm = DiffModel(model)
+    return backward(dm, ce_rows_grad(dm.logits(adv.perturbed), adv.labels, 1.0 / len(adv)))
 
 
 class TestSgdStep:
@@ -89,6 +96,9 @@ class TestLrSchedule:
             tiny_config(lr_decay_factor=0.0)
         with pytest.raises(ConfigError):
             tiny_config(method="awp")
+        for key in ("edac_eta", "edac_reg_lambda"):
+            with pytest.raises(ConfigError):
+                tiny_config(**{key: float("nan")})
 
 
 class TestUpdates:
@@ -108,9 +118,6 @@ class TestUpdates:
     def test_at_matches_reference_loop(self, rng):
         # independently coded three-iteration reference on the same stream
         from advlab.attack import generate_batch
-        from advlab.netcore import DiffModel
-        from advlab.objective import robust_loss_graph
-        from advlab.autodiff import backward
 
         model, opt = self.model_opt()
         cfg = tiny_config(momentum=0.9, lr=0.05)
@@ -124,9 +131,7 @@ class TestUpdates:
         for b in batches_:
             ref_model = ModelState(model.spec, ref_params)
             adv = generate_batch(ref_model, b, cfg.train_attack)
-            dm = DiffModel(ref_model)
-            backward(robust_loss_graph(dm, adv, cfg.objective))
-            grad = dm.param_grads(ref_params)
+            grad = ce_grad(ref_model, adv)
             buf = buf * 0.9 + grad
             ref_params = ref_params - buf * 0.05
         assert got.params.equals(ref_params)
@@ -167,9 +172,6 @@ class TestUpdates:
     def test_edac_half_step_skips_momentum(self, rng):
         # buffer after edac equals the buffer from a single robust-step sgd
         from advlab.attack import generate_batch
-        from advlab.netcore import DiffModel
-        from advlab.objective import robust_loss_graph
-        from advlab.autodiff import backward
 
         model, opt = self.model_opt()
         cfg = tiny_config(method="edac", edac_eta=0.03)
@@ -180,9 +182,7 @@ class TestUpdates:
         g_ac = grad_certainty_frozen(model, adv0.perturbed)
         half = ModelState(model.spec, model.params - g_ac * 0.03)
         adv1 = generate_batch(half, b, cfg.train_attack)
-        dm = DiffModel(half)
-        backward(robust_loss_graph(dm, adv1, cfg.objective))
-        grad = dm.param_grads(half.params)
+        grad = ce_grad(half, adv1)
         _, v = sgd_step(half.params, grad, cfg.lr, cfg.momentum, opt.momentum)
         assert o2.momentum.equals(v)
 
@@ -190,17 +190,12 @@ class TestUpdates:
     def edac_reference(model, b, cfg, opt, eta):
         """Independently coded edac step with a given half-step size."""
         from advlab.attack import generate_batch
-        from advlab.netcore import DiffModel
-        from advlab.objective import robust_loss_graph
-        from advlab.autodiff import backward
 
         adv0 = generate_batch(model, b, cfg.train_attack)
         half = ModelState(model.spec,
                           model.params - grad_certainty_frozen(model, adv0.perturbed) * eta)
         adv1 = generate_batch(half, b, cfg.train_attack)
-        dm = DiffModel(half)
-        backward(robust_loss_graph(dm, adv1, cfg.objective))
-        return sgd_step(half.params, dm.param_grads(half.params),
+        return sgd_step(half.params, ce_grad(half, adv1),
                         lr_at_epoch(cfg, opt.epoch), cfg.momentum, opt.momentum)
 
     def test_edac_half_step_follows_lr_decay(self, rng):
@@ -380,6 +375,16 @@ class TestCheckpointIO:
         assert resumed_last.model.params.equals(full_last.model.params)
         assert [m.robust_acc_test for m in resumed_hist] == \
             [m.robust_acc_test for m in full_hist[2:]]
+
+    @pytest.mark.parametrize("rng_state", [{"next_epoch": 2}, {"base_seed": 1, "next_epoch": 2}])
+    def test_resume_requires_the_same_seed(self, rng_state):
+        train, test = tiny_data()
+        spec = ModelSpec(4, (8, 3), "relu", 0)
+        half_last, _, _ = train_run(tiny_config(epochs=2), (train, test), spec)
+        other = Checkpoint(half_last.model, half_last.epoch, half_last.optimizer_momentum,
+                           rng_state, half_last.metrics_row)
+        with pytest.raises(CheckpointError, match="base_seed"):
+            train_run(tiny_config(epochs=4), (train, test), spec, resume_from=other)
 
     def test_corrupt_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"

@@ -7,7 +7,7 @@ robust accuracy, certainty, predicted-label heatmaps, overfitting gaps and
 step-size sweeps.
 """
 
-from .attack import AdversarialBatch, AttackConfig, fgsm, generate_batch, pgd, project_ball
+from .attack import AdversarialBatch, AttackConfig, fgsm, generate_batch, pgd
 from .autodiff import finite_diff_grad
 from .data import (
     Batch,
@@ -55,7 +55,6 @@ from .objective import (
     ObjectiveKind,
     adversarial_certainty,
     cross_entropy,
-    grad_adversarial_certainty,
     robust_loss,
     trades_loss,
     var_functional,

@@ -1,5 +1,5 @@
-"""Norm-bounded adversarial example generation: ball projection, FGSM and
-iterated projected gradient ascent for linf and l2 threat models.
+"""Norm-bounded adversarial example generation: FGSM and iterated projected
+gradient ascent for linf and l2 threat models.
 
 The iterate keeps the perturbation delta as its state: each step adds a
 signed (linf) or normalised (l2) gradient step, projects delta back into the
@@ -80,19 +80,6 @@ def _project_delta(delta, config: AttackConfig):
     over = norms > config.epsilon
     np.divide(config.epsilon, norms, out=factor, where=over)
     return delta * factor
-
-
-def project_ball(x_prime, center, config: AttackConfig):
-    """Project a candidate back into the epsilon ball, then the domain box."""
-    x_prime = as_f64(x_prime)
-    center = as_f64(center)
-    if x_prime.shape != center.shape:
-        raise ShapeError(f"shape mismatch: {x_prime.shape} vs {center.shape}")
-    single = x_prime.ndim == 1
-    xp = x_prime[None, :] if single else x_prime
-    c = center[None, :] if single else center
-    out = _clamp(c + _project_delta(xp - c, config), config)
-    return out[0] if single else out
 
 
 def _ce_grad_x(model: ModelState, rows, labels):

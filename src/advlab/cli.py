@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
     TrainingAborted,
 )
-from .train import Checkpoint, load_checkpoint, save_checkpoint, train_run
+from .train import SPLITS, Checkpoint, eval_rng, load_checkpoint, save_checkpoint, train_run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,13 +90,25 @@ def write_sweep_csv(path, rows) -> None:
 
 
 def _summary(config: ExperimentConfig, history, best: Checkpoint, last: Checkpoint,
-             train_set: Dataset, test_set: Dataset) -> dict:
+             test_set: Dataset) -> dict:
+    """The run's figures. An ``[eval.*]`` attack equal to ``[train.eval_attack]``
+    reports the checkpoints' history rows, which ``train_run`` measured with
+    that attack and the same seeds; every other attack makes one pass per
+    checkpoint, one in all when the best checkpoint is the last."""
     best_r, last_r, gap = overfitting_gap(history)
+
+    def robust_acc(ckpt: Checkpoint, atk) -> float:
+        if atk == config.train.eval_attack:
+            return ckpt.metrics_row.robust_acc_test
+        return robust_accuracy(ckpt.model, test_set, atk,
+                               eval_rng(atk, config.train.seed, ckpt.epoch, 1))
+
     per_attack = {}
     for name, atk in sorted(config.eval_attacks.items()):
+        best_acc = robust_acc(best, atk)
         per_attack[name] = {
-            "best_robust_acc": robust_accuracy(best.model, test_set, atk),
-            "last_robust_acc": robust_accuracy(last.model, test_set, atk),
+            "best_robust_acc": best_acc,
+            "last_robust_acc": best_acc if best is last else robust_acc(last, atk),
         }
     return {
         "method": config.train.method,
@@ -136,7 +148,7 @@ def cmd_train(args) -> int:
         write_history_json(out_dir / "history.json", history)
     save_checkpoint(best, out_dir / "best.ckpt")
     save_checkpoint(last, out_dir / "last.ckpt")
-    summary = _summary(config, history, best, last, train_set, test_set)
+    summary = _summary(config, history, best, last, test_set)
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -153,8 +165,12 @@ def _load_checkpoint_for(config: ExperimentConfig, path, train_set: Dataset) -> 
 
     Only the architecture is compared, not ``init_seed``: a checkpoint made
     by ``advlab train --seed N`` fits its config whatever seed that names.
+    The checkpoint must record its run's ``base_seed``, which seeds the
+    sweep's continuation and every evaluation attack's random start.
     """
     ckpt = load_checkpoint(path)
+    if "base_seed" not in ckpt.rng_state:
+        raise CheckpointError(f"{path}: rng state has no base_seed")
     want = config.model_spec(train_set)
     if replace(ckpt.model.spec, init_seed=want.init_seed) != want:
         raise CheckpointError(
@@ -175,8 +191,10 @@ def cmd_eval(args) -> int:
         "attacks": {},
     }
     print(f"checkpoint epoch {ckpt.epoch}: clean accuracy {report['clean_acc_test']:.4f}")
+    seed = ckpt.rng_state["base_seed"]
     for name, atk in sorted(attacks.items()):
-        racc, ac, _ = attacked_stats(ckpt.model, test_set, atk)
+        racc, ac, _ = attacked_stats(ckpt.model, test_set, atk,
+                                     eval_rng(atk, seed, ckpt.epoch, 1))
         report["attacks"][name] = {"robust_acc": racc, "ac": ac}
         print(f"  {name}: robust accuracy {racc:.4f}, certainty {ac:.4f}")
     out_dir = Path(config.out_dir)
@@ -191,8 +209,10 @@ def cmd_heatmap(args) -> int:
     config = load_config(args.config).with_overrides(out_dir=args.out)
     train_set, test_set = config.build_datasets()
     ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
-    dataset = train_set if args.split == "train" else test_set
-    hm = compute_heatmap(ckpt.model, dataset, config.train.eval_attack)
+    split = SPLITS.index(args.split)
+    atk = config.train.eval_attack
+    rng = eval_rng(atk, ckpt.rng_state["base_seed"], ckpt.epoch, split)
+    hm = compute_heatmap(ckpt.model, (train_set, test_set)[split], atk, rng)
     variances = label_level_variance(hm)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -219,8 +239,6 @@ def cmd_sweep(args) -> int:
     ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
     # continue with the checkpoint's own training seed, so eta = 0 reproduces
     # the run that wrote it
-    if "base_seed" not in ckpt.rng_state:
-        raise CheckpointError(f"{args.checkpoint}: rng state has no base_seed")
     train_cfg = replace(config.train, seed=ckpt.rng_state["base_seed"])
     rows = stepsize_sweep(ckpt, (train_set, test_set), etas, train_cfg)
     out_dir = Path(config.out_dir)
@@ -275,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_hm = sub.add_parser("heatmap", help="predicted-label heatmap of a checkpoint")
     p_hm.add_argument("--config", required=True)
     p_hm.add_argument("--checkpoint", required=True)
-    p_hm.add_argument("--split", choices=("train", "test"), default="train")
+    p_hm.add_argument("--split", choices=SPLITS, default="train")
     p_hm.add_argument("--out", default=None)
     p_hm.set_defaults(fn=cmd_heatmap)
 

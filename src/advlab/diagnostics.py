@@ -11,7 +11,7 @@ import numpy as np
 
 from .attack import AttackConfig, generate_batch
 from .autodiff import row_std_value
-from .data import Batch, Dataset, slices
+from .data import Dataset, slices
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
 from .netcore import ModelState, forward_logits, predict_label
 
@@ -235,13 +235,18 @@ def stepsize_sweep(checkpoint, data, etas, config) -> list:
     eta and skips the continuation epoch and its two attack passes. The
     eta = 0 row, failed rows and rows with any uncut batch (including a
     zero certainty gradient) are never reused.
+
+    The evaluation attacks draw their random start, if any, from
+    ``eval_rng`` at epoch ``checkpoint.epoch + 1`` and the config's seed, as
+    ``train_run`` does for that epoch.
     """
     # imported here to avoid a circular dependency with train
-    from .train import continue_one_epoch
+    from .train import continue_one_epoch, eval_rng
 
     if len(etas) == 0:
         raise ConfigError("etas must not be empty")
     train_set, test_set = data
+    atk, epoch = config.eval_attack, checkpoint.epoch + 1
     rows = []
     capped_rows = []  # computed rows whose half step the cap cut on every batch
     for eta in etas:
@@ -255,8 +260,8 @@ def stepsize_sweep(checkpoint, data, etas, config) -> list:
         cfg = replace(config, method="edac", edac_eta=eta)
         try:
             model, capped = continue_one_epoch(checkpoint, train_set, cfg)
-            ac_train = dataset_certainty(model, train_set, cfg.eval_attack)
-            racc = robust_accuracy(model, test_set, cfg.eval_attack)
+            ac_train = dataset_certainty(model, train_set, atk, eval_rng(atk, cfg.seed, epoch, 0))
+            racc = robust_accuracy(model, test_set, atk, eval_rng(atk, cfg.seed, epoch, 1))
         except (NumericError, FloatingPointError, OverflowError):
             rows.append(SweepRow(eta, float("nan"), float("nan"), False))
             continue

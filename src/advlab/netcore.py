@@ -147,12 +147,6 @@ class ModelSpec:
         fan_ins = (self.input_dim,) + self.layer_widths[:-1]
         return tuple(zip(fan_ins, self.layer_widths))
 
-    def param_names(self):
-        names = []
-        for i in range(len(self.layer_widths)):
-            names.extend((f"w{i}", f"b{i}"))
-        return tuple(names)
-
 
 @dataclass(frozen=True)
 class ModelState:

@@ -45,15 +45,10 @@ class ObjectiveKind:
 
 @dataclass(frozen=True)
 class CertaintyReport:
-    """Per-example logit-spread values, their mean, and per-class means."""
+    """Per-example logit-spread values and their mean."""
 
     per_example: np.ndarray
     mean: float
-    per_class_mean: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_example", as_f64(self.per_example))
-        object.__setattr__(self, "per_class_mean", as_f64(self.per_class_mean))
 
 
 def var_functional(u) -> float:
@@ -121,40 +116,12 @@ def robust_grad(model: ModelState, adv_batch: AdversarialBatch,
 # ---------------------------------------------------------------------------
 
 
-def certainty_report(model: ModelState, adv_batch: AdversarialBatch,
-                     num_classes=None) -> CertaintyReport:
-    """Certainty statistics for already-generated adversarial examples."""
-    k = num_classes if num_classes is not None else model.spec.num_classes
-    logits = forward_logits(model, adv_batch.perturbed)
-    per_example = row_std_value(logits)
-    per_class = np.zeros(k)
-    for c in range(k):
-        mask = adv_batch.labels == c
-        if mask.any():
-            per_class[c] = per_example[mask].mean()
-    return CertaintyReport(per_example, float(per_example.mean()), per_class)
-
-
 def adversarial_certainty(model: ModelState, batch: Batch, attack_config: AttackConfig,
                           rng=None) -> CertaintyReport:
-    """Generate attacks against the current model and score their certainty.
-
-    Per-class means are keyed by ground-truth label; classes absent from the
-    batch report 0.
-    """
+    """Generate attacks against the current model and score their certainty."""
     adv = generate_batch(model, batch, attack_config, rng=rng)
-    return certainty_report(model, adv)
-
-
-def grad_adversarial_certainty(model: ModelState, batch: Batch,
-                               attack_config: AttackConfig, rng=None) -> ParamVector:
-    """Parameter gradient of the mean certainty with attacks held frozen.
-
-    The adversarial examples are generated once at the current parameters and
-    then treated as constants, so this is a plain first-order gradient.
-    """
-    adv = generate_batch(model, batch, attack_config, rng=rng)
-    return grad_certainty_frozen(model, adv.perturbed)
+    per_example = row_std_value(forward_logits(model, adv.perturbed))
+    return CertaintyReport(per_example, float(per_example.mean()))
 
 
 def grad_certainty_frozen(model: ModelState, adv_inputs, weight=1.0) -> ParamVector:
@@ -178,9 +145,7 @@ __all__ = [
     "trades_loss",
     "robust_loss",
     "adversarial_certainty",
-    "grad_adversarial_certainty",
     "grad_certainty_frozen",
-    "certainty_report",
     "certainty_value",
     "robust_grad",
     "log_softmax_rows",

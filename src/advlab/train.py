@@ -15,8 +15,8 @@ Three per-batch update rules share one SGD core:
 * ``edac_reg_update``: a single step on ``robust loss + lambda * certainty``
   with one shared frozen attack batch.
 
-With a zero certainty step size (or zero lambda) the two variants execute the
-identical code path as ``at_update``, so their trajectories match bitwise.
+With a zero certainty step size (or zero lambda) the two variants compute
+``at_update``'s update and no other, so their trajectories match bitwise.
 
 All randomness is derived statelessly from (config.seed, step index, stream
 tag), which makes checkpoint resumption reproduce an uninterrupted run
@@ -58,6 +58,8 @@ STREAM_AC = 0
 STREAM_ROB = 1
 STREAM_EVAL = 2
 STREAM_SHUFFLE = 3
+
+SPLITS = ("train", "test")  # the split index of evaluation seeds
 
 _U64 = (1 << 64) - 1
 
@@ -184,8 +186,8 @@ def edac_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state:
     The half step is plain gradient descent with the freshly generated
     attacks frozen; the attacks are regenerated against the half-step weights
     before the robustness step, and the momentum buffer is updated only by
-    the robustness gradient. A zero ``edac_eta`` takes the exact
-    ``at_update`` path, so the reduction is bitwise.
+    the robustness gradient. A zero step size skips the half step; what is
+    left is ``at_update``'s computation, so the reduction is bitwise.
 
     The half-step size is ``eta_at_epoch``: ``edac_eta`` times the same decay
     factor, at the same epochs, as the learning rate, because an
@@ -207,31 +209,27 @@ def edac_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state:
     paper's text. ``HalfStepReport.eta`` carries the size actually used.
     """
     eta = eta_at_epoch(config, opt_state.epoch)
-    if eta == 0.0:
-        adv = generate_batch(model, batch, config.train_attack,
-                             rng=_train_rng(config, opt_state, STREAM_ROB))
-        new_model, new_opt = _apply_sgd(model, robust_grad(model, adv, config.objective),
-                                        config, opt_state)
-        ac = certainty_value(model, adv.perturbed)
-        return new_model, new_opt, HalfStepReport(ac, ac, 0.0)
-
-    adv0 = generate_batch(model, batch, config.train_attack,
-                          rng=_train_rng(config, opt_state, STREAM_AC))
-    ac_before = certainty_value(model, adv0.perturbed)
-    g_ac = grad_certainty_frozen(model, adv0.perturbed)
-    flat = g_ac.flatten()
-    g_sq = float(np.dot(flat, flat))
-    if g_sq > 0.0:
-        eta = min(eta, ac_before / g_sq)
-    half_params = model.params - g_ac * eta
-    if not half_params.allfinite():
-        raise NumericError("non-finite parameters after the certainty half step")
-    half_model = ModelState(model.spec, half_params)
-    adv1 = generate_batch(half_model, batch, config.train_attack,
-                          rng=_train_rng(config, opt_state, STREAM_ROB))
-    ac_after = certainty_value(half_model, adv1.perturbed)
-    new_model, new_opt = _apply_sgd(half_model, robust_grad(half_model, adv1, config.objective),
+    half_model, ac_before = model, None
+    if eta != 0.0:
+        adv0 = generate_batch(model, batch, config.train_attack,
+                              rng=_train_rng(config, opt_state, STREAM_AC))
+        ac_before = certainty_value(model, adv0.perturbed)
+        g_ac = grad_certainty_frozen(model, adv0.perturbed)
+        flat = g_ac.flatten()
+        # numpy's pairwise sum: a BLAS dot splits the sum by thread count
+        g_sq = float((flat * flat).sum())
+        if g_sq > 0.0:
+            eta = min(eta, ac_before / g_sq)
+        half_params = model.params - g_ac * eta
+        if not half_params.allfinite():
+            raise NumericError("non-finite parameters after the certainty half step")
+        half_model = ModelState(model.spec, half_params)
+    adv = generate_batch(half_model, batch, config.train_attack,
+                         rng=_train_rng(config, opt_state, STREAM_ROB))
+    ac_after = certainty_value(half_model, adv.perturbed)
+    new_model, new_opt = _apply_sgd(half_model, robust_grad(half_model, adv, config.objective),
                                     config, opt_state)
+    ac_before = ac_after if ac_before is None else ac_before
     return new_model, new_opt, HalfStepReport(ac_before, ac_after, eta)
 
 
@@ -296,18 +294,27 @@ def batches_per_epoch(train_set: Dataset, config: TrainConfig) -> int:
     return -(-len(train_set) // config.batch_size)
 
 
-def _eval_rng(config: TrainConfig, epoch, split_idx):
-    if not config.eval_attack.random_start:
+def eval_rng(attack: AttackConfig, base_seed, epoch, split):
+    """The rng of an evaluation attack, or None without a random start.
+
+    ``split`` indexes ``SPLITS``. Every evaluation of the weights after epoch
+    ``epoch`` of the run seeded ``base_seed`` draws from here: the per-epoch
+    metrics, ``summary.json``, ``advlab eval``, ``advlab heatmap`` and the
+    sweep (at ``checkpoint.epoch + 1``). So one (weights, split, attack)
+    always gets one random start, and its figures repeat across commands.
+    """
+    if not attack.random_start:
         return None
-    return np.random.default_rng(child_seed(config.seed, epoch, STREAM_EVAL, split_idx))
+    return np.random.default_rng(child_seed(base_seed, epoch, STREAM_EVAL, split))
 
 
 def evaluate_epoch(model: ModelState, train_set: Dataset, test_set: Dataset,
                    config: TrainConfig, epoch, wall_time_s=0.0) -> MetricsRecord:
-    clean_tr, rob_tr, ac_tr = split_metrics(model, train_set, config.eval_attack,
-                                            _eval_rng(config, epoch, 0))
-    clean_te, rob_te, ac_te = split_metrics(model, test_set, config.eval_attack,
-                                            _eval_rng(config, epoch, 1))
+    atk = config.eval_attack
+    clean_tr, rob_tr, ac_tr = split_metrics(model, train_set, atk,
+                                            eval_rng(atk, config.seed, epoch, 0))
+    clean_te, rob_te, ac_te = split_metrics(model, test_set, atk,
+                                            eval_rng(atk, config.seed, epoch, 1))
     return MetricsRecord(
         epoch=epoch, method=config.method, lr=lr_at_epoch(config, epoch),
         clean_acc_train=clean_tr, clean_acc_test=clean_te,

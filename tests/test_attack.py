@@ -9,7 +9,6 @@ from advlab.attack import (
     generate_batch,
     perturbation_norm,
     pgd,
-    project_ball,
 )
 from advlab.autodiff import ce_rows_value
 from advlab.data import Batch
@@ -45,37 +44,50 @@ class TestAttackConfig:
 
 
 class TestProjectBall:
-    def test_inside_ball_unchanged(self):
-        cfg = linf(0.5, 0.1, 1)
-        x = np.array([0.2, -0.3])
-        assert np.array_equal(project_ball(x, np.zeros(2), cfg), x)
+    """pgd projects each step's offset back into the epsilon ball, then the
+    candidate into the domain box."""
 
-    def test_linf_componentwise_clip(self):
-        cfg = linf(0.1, 0.1, 1)
-        out = project_ball(np.array([0.3, -0.05]), np.zeros(2), cfg)
-        assert np.array_equal(out, [0.1, -0.05])
+    def test_inside_ball_unchanged(self):
+        # logits (x, -x): for y=0 the ascent direction is -1, and one 0.125
+        # step stays inside the 0.5 ball
+        model = model_from_arrays(1, [(np.array([[1.0, -1.0]]), np.zeros(2))])
+        assert pgd(model, np.array([0.5]), 0, linf(0.5, 0.125, 1))[0] == 0.375
+
+    def test_linf_componentwise_clip(self, linear_2d_model):
+        # identity logits, y=0: ascent lowers x0 and raises x1; each 0.3
+        # step coordinate is clipped to the 0.1 ball
+        out = pgd(linear_2d_model, np.array([0.2, -0.3]), 0, linf(0.1, 0.3, 1))
+        assert np.array_equal(out, [0.2 - 0.1, -0.3 + 0.1])
 
     def test_l2_radial_rescale(self):
-        cfg = l2(1.0, 0.1, 1)
-        out = project_ball(np.array([3.0, 4.0]), np.zeros(2), cfg)
+        # logits (3a + 4b, -(3a + 4b)): for y=1 the input gradient at 0 points
+        # along (3, 4), so a step of length 5 is rescaled onto the unit sphere
+        model = model_from_arrays(2, [(np.array([[3.0, -3.0], [4.0, -4.0]]), np.zeros(2))])
+        out = pgd(model, np.zeros(2), 1, l2(1.0, 5.0, 1))
         assert np.allclose(out, [0.6, 0.8], rtol=0, atol=1e-15)
 
-    def test_shape_mismatch(self):
+    def test_shape_mismatch(self, linear_2d_model):
         with pytest.raises(ShapeError):
-            project_ball(np.zeros(3), np.zeros(2), linf(0.1, 0.1, 1))
+            pgd(linear_2d_model, np.zeros(3), 0, linf(0.1, 0.1, 1))
+        with pytest.raises(ShapeError):
+            pgd(linear_2d_model, np.zeros((2, 2)), [0], linf(0.1, 0.1, 1))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_projection_feasible_both_norms(self, seed):
+        # steps longer than epsilon, from random starts, in a box
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 6))
+        model = init_model(ModelSpec(n, (4, 3), "relu", int(rng.integers(0, 100))))
+        x = rng.uniform(-1.0, 1.0, size=(3, n))
+        y = rng.integers(0, 3, size=3)
         eps = float(rng.uniform(0, 2.0))
         for norm in ("linf", "l2"):
-            cfg = AttackConfig(norm=norm, epsilon=eps, step_size=0.1, steps=1)
-            x = rng.normal(size=n) * 3
-            c = rng.normal(size=n)
-            out = project_ball(x, c, cfg)
-            assert perturbation_norm(out, c, norm).max() <= eps + 1e-9
+            cfg = AttackConfig(norm=norm, epsilon=eps, step_size=float(rng.uniform(0.5, 3.0)),
+                               steps=3, random_start=True, domain_clamp=(-1.0, 1.0))
+            out = pgd(model, x, y, cfg, rng=seed)
+            assert perturbation_norm(out, x, norm).max() <= eps + 1e-9
+            assert out.min() >= -1.0 and out.max() <= 1.0
 
 
 class TestFgsm:

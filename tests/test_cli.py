@@ -4,7 +4,10 @@ import struct
 import numpy as np
 import pytest
 
+from advlab import cli
 from advlab.cli import main
+from advlab.config import load_config
+from advlab.diagnostics import robust_accuracy
 from advlab.train import load_checkpoint
 
 QUICK = """
@@ -50,6 +53,22 @@ steps = 0
 [output]
 dir = {out}
 """
+
+
+# QUICK with random starts: [train.eval_attack] and its equal [eval.pgd5],
+# plus an l2 attack that equals no other
+RANDOM_START = {
+    "[eval.pgd5]": "[train.eval_attack]\nnorm = linf\nepsilon = 0.25\nstep_size = 0.0625\n"
+                   "steps = 5\nrandom_start = true\n\n[eval.pgd5]\nrandom_start = true",
+    "[eval.clean]": "[eval.l2]\nnorm = l2\nepsilon = 0.5\nstep_size = 0.25\nsteps = 3\n"
+                    "random_start = true\n\n[eval.clean]",
+}
+
+
+def history_column(out, name):
+    lines = (out / "history.csv").read_text().splitlines()
+    col = lines[0].split(",").index(name)
+    return [float(line.split(",")[col]) for line in lines[1:]]
 
 
 def rewrite_checkpoint(src, dst, edit_header=None, nan_at=None):
@@ -129,6 +148,41 @@ class TestTrainCommand:
         h1 = (out / "history.csv").read_bytes()
         assert main(["train", "--config", str(cfg), "--seed", "77"]) == 0
         assert (out / "history.csv").read_bytes() != h1
+
+    @pytest.mark.parametrize("seed,passes", [("3", 1), ("5", 2)])
+    def test_summary_attacks_each_checkpoint_once(self, quick_config, monkeypatch,
+                                                  seed, passes):
+        # pgd5 equals [train.eval_attack] (the training attack by default), so
+        # summary.json reads it from the history; clean takes one pass per
+        # distinct checkpoint: best is last for seed 3, not for seed 5
+        seen = []
+
+        def spy(model, dataset, atk, rng=None):
+            seen.append(atk)
+            return robust_accuracy(model, dataset, atk, rng)
+
+        monkeypatch.setattr(cli, "robust_accuracy", spy)
+        cfg, out = quick_config(**{"epochs = 2": "epochs = 3"})
+        assert main(["train", "--config", str(cfg), "--seed", seed]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert (summary["best_epoch"] == summary["last_epoch"]) == (passes == 1)
+        assert seen == [load_config(cfg).eval_attacks["clean"]] * passes
+
+    def test_summary_eval_attack_figures_are_the_history_rows(self, quick_config):
+        cfg, out = quick_config(**{"epochs = 2": "epochs = 3"})
+        assert main(["train", "--config", str(cfg), "--seed", "5"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        robust = history_column(out, "robust_acc_test")
+        best, last = summary["best_epoch"], summary["last_epoch"]
+        assert best != last
+        assert summary["eval_attacks"]["pgd5"] == {
+            "best_robust_acc": robust[best], "last_robust_acc": robust[last]}
+        # and a fresh pass reads the same figures
+        config = load_config(cfg)
+        _, test_set = config.build_datasets()
+        for name, epoch in (("best", best), ("last", last)):
+            model = load_checkpoint(out / f"{name}.ckpt").model
+            assert robust_accuracy(model, test_set, config.eval_attacks["pgd5"]) == robust[epoch]
 
     def test_config_error_exit_code(self, tmp_path):
         p = tmp_path / "bad.ini"
@@ -242,8 +296,8 @@ class TestEvalCommand:
             return header
 
         rewrite_checkpoint(out / "last.ckpt", bad, edit_header=drop_seed)
-        assert main(["sweep", "--config", str(cfg), "--checkpoint", str(bad),
-                     "--etas", "0"]) == 4
+        for command in (["eval"], ["heatmap"], ["sweep", "--etas", "0"]):
+            assert main(command + ["--config", str(cfg), "--checkpoint", str(bad)]) == 4
 
 
 class TestHeatmapCommand:
@@ -295,6 +349,45 @@ class TestSweepCommand:
             assert main(["sweep", "--config", str(cfg), "--checkpoint",
                          str(out / "last.ckpt"), "--etas", etas]) == 2
         assert not (out / "sweep.csv").exists()
+
+
+class TestRandomStartEvaluation:
+    """Every evaluation attack with a random start draws it from
+    ``train.eval_rng``: (base seed, epoch, split)."""
+
+    def test_every_command_exits_0(self, quick_config):
+        cfg, out = quick_config(**RANDOM_START)
+        assert main(["train", "--config", str(cfg)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["eval_attacks"]) == {"pgd5", "l2", "clean"}
+        ckpt = str(out / "last.ckpt")
+        assert main(["eval", "--config", str(cfg), "--checkpoint", ckpt]) == 0
+        for split in ("train", "test"):
+            assert main(["heatmap", "--config", str(cfg), "--checkpoint", ckpt,
+                         "--split", split]) == 0
+        assert main(["sweep", "--config", str(cfg), "--checkpoint", ckpt,
+                     "--etas", "0,0.05"]) == 0
+        # the eta = 0 row is the next epoch of the same run, random starts included
+        row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        longer, longer_out = quick_config(out_name="longer", **RANDOM_START,
+                                          **{"epochs = 2": "epochs = 3"})
+        assert main(["train", "--config", str(longer)]) == 0
+        assert [float(v) for v in row[1:3]] == [
+            history_column(longer_out, "ac_train")[2],
+            history_column(longer_out, "robust_acc_test")[2]]
+
+    def test_eval_reproduces_the_history_row(self, quick_config):
+        cfg, out = quick_config(**RANDOM_START)
+        assert main(["train", "--config", str(cfg)]) == 0
+        robust = history_column(out, "robust_acc_test")
+        summary = json.loads((out / "summary.json").read_text())
+        for name in ("best", "last"):
+            assert main(["eval", "--config", str(cfg),
+                         "--checkpoint", str(out / f"{name}.ckpt")]) == 0
+            report = json.loads((out / "eval.json").read_text())
+            assert report["attacks"]["pgd5"]["robust_acc"] == robust[report["epoch"]]
+            assert (report["attacks"]["l2"]["robust_acc"]
+                    == summary["eval_attacks"]["l2"][f"{name}_robust_acc"])
 
 
 class TestGradcheckCommand:

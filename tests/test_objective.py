@@ -21,7 +21,6 @@ from advlab.objective import (
     adversarial_certainty,
     certainty_value,
     cross_entropy,
-    grad_adversarial_certainty,
     grad_certainty_frozen,
     robust_loss,
     trades_loss,
@@ -192,31 +191,22 @@ class TestAdversarialCertainty:
         assert report.mean == pytest.approx(float(np.mean(spreads)), rel=1e-12)
         assert np.allclose(report.per_example, spreads, rtol=1e-12)
 
-    def test_per_class_keyed_by_ground_truth(self, rng):
-        model = init_model(ModelSpec(3, (5, 3), "relu", 0))
-        labels = np.array([0, 0, 2, 2, 2])
-        batch = Batch(rng.normal(size=(5, 3)), labels)
-        report = adversarial_certainty(model, batch, pgd5(0.1))
-        per = report.per_example
-        assert report.per_class_mean[0] == pytest.approx(per[:2].mean())
-        assert report.per_class_mean[1] == 0.0
-        assert report.per_class_mean[2] == pytest.approx(per[2:].mean())
-
 
 class TestGradCertainty:
     def test_shift_direction_has_zero_gradient(self, rng):
         # adding one constant to every output bias leaves the spread unchanged
         model = init_model(ModelSpec(3, (5, 4), "relu", 0))
         batch = Batch(rng.normal(size=(6, 3)), rng.integers(0, 4, size=6))
-        g = grad_adversarial_certainty(model, batch, pgd5(0.1))
+        adv = generate_batch(model, batch, pgd5(0.1))
+        g = grad_certainty_frozen(model, adv.perturbed)
         assert float(g["b1"].sum()) == pytest.approx(0.0, abs=1e-12)
 
     def test_epsilon_zero_matches_clean_spread_grad(self, rng):
         model = init_model(ModelSpec(3, (5, 2), "tanh", 0))
         batch = Batch(rng.normal(size=(6, 3)), rng.integers(0, 2, size=6))
-        g = grad_adversarial_certainty(model, batch, pgd5(0.0))
-        g2 = grad_certainty_frozen(model, batch.inputs)
-        assert g.equals(g2)
+        adv = generate_batch(model, batch, pgd5(0.0))
+        g = grad_certainty_frozen(model, adv.perturbed)
+        assert g.equals(grad_certainty_frozen(model, batch.inputs))
 
     def test_frozen_grad_matches_fd(self, rng):
         model = init_model(ModelSpec(4, (6, 3), "tanh", 1))

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import advlab
 from advlab.attack import AttackConfig
 from advlab.autodiff import ce_rows_grad
 from advlab.data import Batch, make_gaussian_mixture
@@ -224,12 +231,42 @@ class TestUpdates:
 
         adv0 = generate_batch(model, b, cfg.train_attack)
         g = grad_certainty_frozen(model, adv0.perturbed).flatten()
-        eta = certainty_value(model, adv0.perturbed) / float(np.dot(g, g))
+        eta = certainty_value(model, adv0.perturbed) / float((g * g).sum())
         assert eta < 1e3
         assert rep.eta == eta
         want, v = self.edac_reference(model, b, cfg, opt, eta)
         assert m2.params.equals(want)
         assert o2.momentum.equals(v)
+
+    def test_capped_step_independent_of_blas_threads(self):
+        # the Polyak norm of the 71,172 benchmark-network parameters is a
+        # long sum; a threaded BLAS dot splits it by thread count
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from advlab.attack import AttackConfig
+            from advlab.data import Batch
+            from advlab.netcore import ModelSpec, init_model
+            from advlab.train import OptState, TrainConfig, edac_update
+            model = init_model(ModelSpec(16, (256, 256, 4), "relu", 0))
+            rng = np.random.default_rng(0)
+            batch = Batch(rng.normal(size=(64, 16)), rng.integers(0, 4, size=64))
+            atk = AttackConfig(norm="linf", epsilon=0.15, step_size=0.0375, steps=10)
+            cfg = TrainConfig(epochs=1, batch_size=64, lr=0.1, train_attack=atk,
+                              eval_attack=atk, edac_eta=1e3, method="edac")
+            new, _, report = edac_update(model, batch, cfg, OptState(model.params.zeros_like()))
+            assert report.eta < 1e3, "the cap did not bind"
+            print(hashlib.sha256(new.params.flatten().tobytes()).hexdigest())
+        """)
+        src = str(Path(advlab.__file__).resolve().parent.parent)
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.append(done.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_edac_reg_gradient_is_sum_of_parts(self, rng):
         # finite differences of robust + lambda * frozen certainty

@@ -239,33 +239,61 @@ def stepsize_sweep(checkpoint, data, etas, config) -> list:
     The evaluation attacks draw their random start, if any, from
     ``eval_rng`` at epoch ``checkpoint.epoch + 1`` and the config's seed, as
     ``train_run`` does for that epoch.
+
+    Rows run in forked workers, as many at a time as ``Workers.count``, in
+    request order. A row started before an earlier row came back capped is
+    dropped and copied once that row covers it, so the rows and their
+    ``same_as`` labels are the ones the rule above gives in sequence.
     """
+    from .workers import Workers  # imported here: not on the command-line start-up path
+
+    etas = [float(eta) for eta in etas]
+    if not etas:
+        raise ConfigError("etas must not be empty")
+    for eta in etas:
+        if eta < 0:
+            raise ConfigError(f"step sizes must be non-negative, got {eta}")
+    rows = []
+    capped_rows = []  # computed rows whose half step the cap cut on every batch
+    running = {}  # request index -> started row
+    ahead = 0  # the next request index that may be started
+
+    def source(eta):
+        return next((r for r in capped_rows if eta >= r.eta), None)
+
+    with Workers() as workers:
+        for i, eta in enumerate(etas):
+            copied = source(eta)
+            if copied is not None:
+                started = running.pop(i, None)
+                if started is not None:
+                    started.cancel()
+                rows.append(replace(copied, eta=eta, same_as=copied.eta))
+                continue
+            # start this row, then later rows that no capped row covers yet
+            while ahead < len(etas) and len(running) < workers.count:
+                if source(etas[ahead]) is None:
+                    cfg = replace(config, method="edac", edac_eta=etas[ahead])
+                    running[ahead] = workers.start(_sweep_row, checkpoint, data, cfg)
+                ahead += 1
+            row, capped = running.pop(i).result()
+            rows.append(row)
+            if capped:
+                capped_rows.append(row)
+    return rows
+
+
+def _sweep_row(checkpoint, data, config):
+    """One computed sweep row and whether the cap cut every half step."""
     # imported here to avoid a circular dependency with train
     from .train import continue_one_epoch, eval_rng
 
-    if len(etas) == 0:
-        raise ConfigError("etas must not be empty")
     train_set, test_set = data
     atk, epoch = config.eval_attack, checkpoint.epoch + 1
-    rows = []
-    capped_rows = []  # computed rows whose half step the cap cut on every batch
-    for eta in etas:
-        eta = float(eta)
-        if eta < 0:
-            raise ConfigError(f"step sizes must be non-negative, got {eta}")
-        source = next((r for r in capped_rows if eta >= r.eta), None)
-        if source is not None:
-            rows.append(replace(source, eta=eta, same_as=source.eta))
-            continue
-        cfg = replace(config, method="edac", edac_eta=eta)
-        try:
-            model, capped = continue_one_epoch(checkpoint, train_set, cfg)
-            ac_train = dataset_certainty(model, train_set, atk, eval_rng(atk, cfg.seed, epoch, 0))
-            racc = robust_accuracy(model, test_set, atk, eval_rng(atk, cfg.seed, epoch, 1))
-        except (NumericError, FloatingPointError, OverflowError):
-            rows.append(SweepRow(eta, float("nan"), float("nan"), False))
-            continue
-        rows.append(SweepRow(eta, ac_train, racc, True))
-        if capped:
-            capped_rows.append(rows[-1])
-    return rows
+    try:
+        model, capped = continue_one_epoch(checkpoint, train_set, config)
+        ac_train = dataset_certainty(model, train_set, atk, eval_rng(atk, config.seed, epoch, 0))
+        racc = robust_accuracy(model, test_set, atk, eval_rng(atk, config.seed, epoch, 1))
+    except (NumericError, FloatingPointError, OverflowError):
+        return SweepRow(config.edac_eta, float("nan"), float("nan"), False), False
+    return SweepRow(config.edac_eta, ac_train, racc, True), capped

@@ -333,12 +333,13 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     ``data`` is a (train, test) dataset pair and ``model`` a ModelSpec (fresh
     initialisation) or an explicit ModelState. Per epoch the loop shuffles
     with a seeded permutation, applies the configured per-batch update, then
-    measures both splits under the evaluation attack. The best checkpoint is
-    the earliest one maximising held-out robust accuracy. With
-    ``resume_from``, training continues after that checkpoint's epoch and
-    reproduces the uninterrupted run bitwise; the resumed checkpoint starts
-    as the incumbent best. Its ``base_seed`` must equal ``config.seed``,
-    or the two halves would come from different runs.
+    measures both splits under the evaluation attack. With a second CPU that
+    measurement runs in a forked worker beside the next epoch's updates
+    (``Workers``). The best checkpoint is the earliest one maximising
+    held-out robust accuracy. With ``resume_from``, training continues after
+    that checkpoint's epoch and reproduces the uninterrupted run bitwise; the
+    resumed checkpoint starts as the incumbent best. Its ``base_seed`` must
+    equal ``config.seed``, or the two halves would come from different runs.
     """
     train_set, test_set = data
     if isinstance(model, ModelSpec):
@@ -365,21 +366,18 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
         )
     nb = batches_per_epoch(train_set, config)
     history = []
-    for epoch in range(start_epoch, config.epochs):
-        t0 = time.perf_counter()
-        opt = OptState(opt.momentum, epoch, epoch * nb)
+
+    def aborted(epoch, exc):
+        return TrainingAborted(f"training failed during epoch {epoch}: {exc}", checkpoint=last)
+
+    def collect(epoch, model, momentum, evaluation):
+        nonlocal last, best
         try:
-            for batch in epoch_batches(train_set, config, epoch):
-                model, opt, _ = apply_update(model, batch, config, opt)
-            row = evaluate_epoch(model, train_set, test_set, config, epoch,
-                                 wall_time_s=time.perf_counter() - t0)
+            row = evaluation.result()
         except (AdvlabError, ArithmeticError) as exc:
-            raise TrainingAborted(
-                f"training failed during epoch {epoch}: {exc}",
-                checkpoint=last,
-            ) from exc
+            raise aborted(epoch, exc) from exc
         history.append(row)
-        last = Checkpoint(model, epoch, opt.momentum, _rng_record(config, epoch + 1), row)
+        last = Checkpoint(model, epoch, momentum, _rng_record(config, epoch + 1), row)
         if best is None or row.robust_acc_test > best.metrics_row.robust_acc_test:
             best = last
         log.info(
@@ -388,6 +386,29 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
             row.robust_acc_train, row.robust_acc_test, row.ac_train, row.ac_test,
             row.wall_time_s,
         )
+
+    from .workers import Workers  # imported here: not on the command-line start-up path
+
+    # epoch e's evaluation is collected before anything of epoch e + 1 is
+    # reported, so every outcome, a failure included, is the sequential one
+    pending = None
+    with Workers() as workers:
+        for epoch in range(start_epoch, config.epochs):
+            t0 = time.perf_counter()
+            opt = OptState(opt.momentum, epoch, epoch * nb)
+            try:
+                for batch in epoch_batches(train_set, config, epoch):
+                    model, opt, _ = apply_update(model, batch, config, opt)
+            except (AdvlabError, ArithmeticError) as exc:
+                if pending is not None:
+                    collect(*pending)
+                raise aborted(epoch, exc) from exc
+            if pending is not None:
+                collect(*pending)
+            pending = (epoch, model, opt.momentum,
+                       workers.start(evaluate_epoch, model, train_set, test_set, config,
+                                     epoch, time.perf_counter() - t0))
+        collect(*pending)
     return last, best, history
 
 

@@ -16,6 +16,7 @@ from advlab.diagnostics import (
     split_metrics,
     stepsize_sweep,
 )
+from advlab import workers
 from advlab.errors import CheckpointError, NumericError, ShapeError
 from advlab.netcore import ModelSpec, init_model
 from advlab.train import Checkpoint, TrainConfig, train_run
@@ -239,9 +240,14 @@ class TestStepsizeSweep:
 
     @pytest.fixture
     def epochs_run(self, monkeypatch):
-        """Record (edac_eta, capped) of every continuation epoch the sweep runs."""
+        """Record (edac_eta, capped) of every continuation epoch the sweep runs.
+
+        The sweep runs on one worker here, in-process, where the spy sees each
+        call; a forked row's calls happen in its child. Two workers return the
+        same rows and labels (``test_same_rows_at_one_and_two_workers``)."""
         from advlab import train as train_mod
 
+        monkeypatch.setattr(workers, "cpu_count", lambda: 1)
         calls = []
         original = train_mod.continue_one_epoch
 
@@ -278,3 +284,17 @@ class TestStepsizeSweep:
         assert [r.eta for r in rows] == [2e3, 0.05, 1e3, 3e3]
         assert [r.same_as for r in rows] == [None, None, None, 2e3]
         assert rows[2].ac_train == rows[0].ac_train
+
+    @pytest.mark.parametrize("etas", [[2e3, 0.05, 1e3, 3e3],
+                                      [float(f"{0.1 * i:.1f}") for i in range(21)]])
+    def test_same_rows_at_one_and_two_workers(self, monkeypatch, etas):
+        if workers.blas_threads() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be pinned here")
+        last, data, cfg = self.make_run()
+        sweeps = []
+        for n in (1, 2):
+            monkeypatch.setattr(workers, "cpu_count", lambda: n)
+            sweeps.append(stepsize_sweep(last, data, etas, cfg))
+        assert all(r.ok for r in sweeps[0])
+        assert any(r.same_as is not None for r in sweeps[0])  # copied rows
+        assert sweeps[0] == sweeps[1]

@@ -101,30 +101,34 @@ def _random_in_ball(rng, shape, config: AttackConfig):
     return direction / norms * radius[:, None]
 
 
-def _resolve_rng(config: AttackConfig, rng):
-    if not config.random_start:
+def draw_start(config: AttackConfig, rng, shape):
+    """The offset a pgd attack on rows of ``shape`` starts from: with
+    ``random_start``, a uniform in-ball offset drawn from ``rng``; otherwise
+    None, and nothing is drawn. An fgsm attack never draws one."""
+    if config.kind != "pgd" or not config.random_start:
         return None
     if rng is None:
         raise ConfigError("random_start requires an rng or integer seed")
-    return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    return _project_delta(_random_in_ball(gen, shape, config), config)
 
 
-def pgd(model: ModelState, x, y, config: AttackConfig, rng=None):
+def pgd(model: ModelState, x, y, config: AttackConfig, rng=None, start=None):
     """Iterated signed-gradient ascent on the cross-entropy, ball-projected.
 
     linf steps move by step_size * sign(grad) with sign(0) = 0; l2 steps move
     by step_size along the row-normalised gradient (zero rows stay put). With
-    ``random_start`` the iterate begins at a uniform in-ball offset drawn from
+    ``random_start`` the iterate begins at a uniform in-ball offset: ``start``
+    when given, drawn earlier by ``draw_start``, else one drawn from
     ``rng``. Returns the final candidate ``clamp(x + delta)``.
     """
     rows, single = _as_rows(x, model.spec.input_dim)
     labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if labels.shape[0] != rows.shape[0]:
         raise ShapeError(f"{rows.shape[0]} inputs but {labels.shape[0]} labels")
-    gen = _resolve_rng(config, rng)
-    delta = np.zeros_like(rows)
-    if gen is not None:
-        delta = _project_delta(_random_in_ball(gen, rows.shape, config), config)
+    if start is None:
+        start = draw_start(config, rng, rows.shape)
+    delta = np.zeros_like(rows) if start is None else start
     for _ in range(config.steps):
         current = _clamp(rows + delta, config)
         grad = _ce_grad_x(model, current, labels)
@@ -183,12 +187,15 @@ class AdversarialBatch:
 
 
 def generate_batch(model: ModelState, batch: Batch, config: AttackConfig,
-                   rng=None) -> AdversarialBatch:
-    """Attack every example of a batch at once (rows are independent)."""
+                   rng=None, start=None) -> AdversarialBatch:
+    """Attack every example of a batch at once (rows are independent).
+
+    ``start`` is the random start ``draw_start`` drew for the batch; when
+    given, ``rng`` is not read."""
     if len(batch) == 0:
         raise ShapeError("cannot attack an empty batch")
     if config.kind == "fgsm":
         perturbed = fgsm(model, batch.inputs, batch.labels, config)
     else:
-        perturbed = pgd(model, batch.inputs, batch.labels, config, rng=rng)
+        perturbed = pgd(model, batch.inputs, batch.labels, config, rng=rng, start=start)
     return AdversarialBatch(batch.inputs, perturbed, batch.labels, config)

@@ -4,12 +4,13 @@ step-size sweep."""
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .attack import AttackConfig, generate_batch
+from .attack import AttackConfig, draw_start, generate_batch
 from .autodiff import row_std_value
 from .data import Dataset, slices
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError
@@ -114,26 +115,60 @@ def _ensure_rng(rng):
 
 
 def clean_accuracy(model: ModelState, dataset: Dataset) -> float:
-    preds = predict_label(model, dataset.inputs)
-    return float((preds == dataset.labels).mean())
+    correct = 0
+    for piece in slices(dataset):
+        correct += int((predict_label(model, piece.inputs) == piece.labels).sum())
+    return correct / len(dataset)
 
 
 def attacked_stats(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
                    rng=None):
-    """One attack pass per example: (robust accuracy, mean certainty, preds)."""
+    """One attack pass per example: (robust accuracy, mean certainty, preds).
+
+    The 256-row slices are split into ``Workers.count`` contiguous runs: the
+    caller attacks the first, a forked worker each other one. The random
+    starts are drawn here first, slice by slice in order, so ``rng`` is
+    consumed as by one pass in sequence. The runs' figures are folded in
+    slice order, so every result is the sequential one, bit for bit.
+    """
+    from .workers import Workers  # imported here: not on the command-line start-up path
+
     rng = _ensure_rng(rng)
+    pieces = [(piece, draw_start(attack_config, rng, piece.inputs.shape))
+              for piece in slices(dataset)]
+    with Workers() as workers:
+        runs = _contiguous_runs(pieces, workers.count)
+        started = [workers.start(_attack_run, model, run, attack_config) for run in runs[1:]]
+        outcomes = _attack_run(model, runs[0], attack_config)
+        for call in started:
+            outcomes += call.result()
     correct = 0
-    spread_sum = 0.0
-    preds_out = []
-    for piece in slices(dataset):
-        adv = generate_batch(model, piece, attack_config, rng=rng)
+    spread_sum = 0.0  # added in order: sum() of floats compensates since Python 3.12
+    for c, spread, _ in outcomes:
+        correct += c
+        spread_sum += spread
+    n = len(dataset)
+    return correct / n, spread_sum / n, np.concatenate([preds for _, _, preds in outcomes])
+
+
+def _contiguous_runs(items, count):
+    """``items`` cut into ``min(count, len(items))`` contiguous runs, none
+    empty, whose lengths differ by at most one."""
+    count = min(count, len(items))
+    bounds = [len(items) * i // count for i in range(count + 1)]
+    return [items[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _attack_run(model: ModelState, run, attack_config: AttackConfig):
+    """(correct, spread sum, preds) of each (slice, random start) of a run."""
+    out = []
+    for piece, start in run:
+        adv = generate_batch(model, piece, attack_config, start=start)
         logits = forward_logits(model, adv.perturbed)
         preds = np.argmax(logits, axis=-1)
-        correct += int((preds == piece.labels).sum())
-        spread_sum += float(row_std_value(logits).sum())
-        preds_out.append(preds)
-    n = len(dataset)
-    return correct / n, spread_sum / n, np.concatenate(preds_out)
+        out.append((int((preds == piece.labels).sum()), float(row_std_value(logits).sum()),
+                    preds))
+    return out
 
 
 def robust_accuracy(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
@@ -194,10 +229,13 @@ def overfitting_gap(history):
 
 def certainty_gap(best, last, dataset: Dataset, attack_config: AttackConfig,
                   rng=None) -> float:
-    """Certainty of the last checkpoint minus certainty of the best one."""
+    """Certainty of the last checkpoint minus certainty of the best one. Both
+    passes start from the same random starts, so a checkpoint against itself
+    gives 0."""
     if best.model.spec != last.model.spec:
         raise CheckpointError("checkpoints were trained from different model specs")
-    ac_best = dataset_certainty(best.model, dataset, attack_config, rng)
+    rng = _ensure_rng(rng)
+    ac_best = dataset_certainty(best.model, dataset, attack_config, copy.deepcopy(rng))
     ac_last = dataset_certainty(last.model, dataset, attack_config, rng)
     return ac_last - ac_best
 

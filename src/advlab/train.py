@@ -335,11 +335,13 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     with a seeded permutation, applies the configured per-batch update, then
     measures both splits under the evaluation attack. With a second CPU that
     measurement runs in a forked worker beside the next epoch's updates
-    (``Workers``). The best checkpoint is the earliest one maximising
-    held-out robust accuracy. With ``resume_from``, training continues after
-    that checkpoint's epoch and reproduces the uninterrupted run bitwise; the
-    resumed checkpoint starts as the incumbent best. Its ``base_seed`` must
-    equal ``config.seed``, or the two halves would come from different runs.
+    (``Workers``); the last epoch's runs in the caller, where its attack
+    passes split over the CPUs. The best checkpoint is the earliest one
+    maximising held-out robust accuracy. With ``resume_from``, training
+    continues after that checkpoint's epoch and reproduces the uninterrupted
+    run bitwise; the resumed checkpoint starts as the incumbent best. Its
+    ``base_seed`` must equal ``config.seed``, or the two halves would come from
+    different runs.
     """
     train_set, test_set = data
     if isinstance(model, ModelSpec):
@@ -373,7 +375,7 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     def collect(epoch, model, momentum, evaluation):
         nonlocal last, best
         try:
-            row = evaluation.result()
+            row = evaluation()
         except (AdvlabError, ArithmeticError) as exc:
             raise aborted(epoch, exc) from exc
         history.append(row)
@@ -390,7 +392,9 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     from .workers import Workers  # imported here: not on the command-line start-up path
 
     # epoch e's evaluation is collected before anything of epoch e + 1 is
-    # reported, so every outcome, a failure included, is the sequential one
+    # reported, so every outcome, a failure included, is the sequential one.
+    # The last epoch's evaluation runs here, with no worker beside it, so that
+    # its attack passes can split over the CPUs.
     pending = None
     with Workers() as workers:
         for epoch in range(start_epoch, config.epochs):
@@ -405,10 +409,12 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
                 raise aborted(epoch, exc) from exc
             if pending is not None:
                 collect(*pending)
-            pending = (epoch, model, opt.momentum,
-                       workers.start(evaluate_epoch, model, train_set, test_set, config,
-                                     epoch, time.perf_counter() - t0))
-        collect(*pending)
+            args = (model, train_set, test_set, config, epoch, time.perf_counter() - t0)
+            if epoch + 1 < config.epochs:
+                pending = (epoch, model, opt.momentum,
+                           workers.start(evaluate_epoch, *args).result)
+            else:
+                collect(epoch, model, opt.momentum, lambda: evaluate_epoch(*args))
     return last, best, history
 
 

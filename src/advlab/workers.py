@@ -4,9 +4,10 @@
 the pickled return value, or the exception, back through a pipe and exits.
 A child holds a copy of the parent's memory at the fork, so arguments are
 never pickled, and a call computes in the child what it would compute in the
-parent, bit for bit. With one CPU in the process's affinity mask, or without
-a way to pin the BLAS thread count, a call runs in-process when it is
-started and nothing is forked.
+parent, bit for bit. With one CPU in the process's affinity mask, without
+a way to pin the BLAS thread count, or inside a forked worker, a call runs
+in-process when it is started and nothing is forked. So a worker never
+forks, and no more processes compute than there are CPUs.
 
 A fork and a pipe start no thread in the parent, unlike ``multiprocessing``
 pools and ``concurrent.futures``, whose helper threads start and end with
@@ -26,6 +27,8 @@ import os
 import pickle
 
 import numpy as np
+
+_in_worker = False  # set in each forked child
 
 
 def cpu_count() -> int:
@@ -95,6 +98,8 @@ class _Forked:
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:
+            global _in_worker
+            _in_worker = True
             status = 1
             try:
                 os.close(read_fd)
@@ -143,14 +148,14 @@ class Workers:
     """Starts calls in forked children, one per CPU in the affinity mask.
 
     ``count`` is how many calls may run at once; the caller keeps to it.
-    It is 1 with one CPU or when the BLAS thread count cannot be pinned, and
-    then ``start`` makes the call in-process. Used as a context manager:
-    inside, BLAS runs one thread per process; on exit every child still
-    running is killed and reaped, whatever ended the block.
+    It is 1 with one CPU, when the BLAS thread count cannot be pinned or in
+    a forked worker, and then ``start`` makes the call in-process. Used as a
+    context manager: inside, BLAS runs one thread per process; on exit every
+    child still running is killed and reaped, whatever ended the block.
     """
 
     def __init__(self):
-        count = cpu_count()
+        count = 1 if _in_worker else cpu_count()
         self._blas = blas_threads() if count > 1 else None
         self.count = count if self._blas is not None else 1
         self._started = []

@@ -1,11 +1,17 @@
+import os
+import time
+
 import numpy as np
 import pytest
 
-from advlab.attack import AttackConfig
-from advlab.data import Dataset, make_gaussian_mixture
+from advlab import diagnostics
+from advlab.attack import AttackConfig, generate_batch
+from advlab.autodiff import row_std_value
+from advlab.data import Dataset, default_benchmark, make_gaussian_mixture, slices
 from advlab.diagnostics import (
     Heatmap,
     MetricsRecord,
+    attacked_stats,
     certainty_gap,
     clean_accuracy,
     compute_heatmap,
@@ -18,7 +24,7 @@ from advlab.diagnostics import (
 )
 from advlab import workers
 from advlab.errors import CheckpointError, NumericError, ShapeError
-from advlab.netcore import ModelSpec, init_model
+from advlab.netcore import ModelSpec, forward_logits, init_model
 from advlab.train import Checkpoint, TrainConfig, train_run
 from conftest import model_from_arrays
 
@@ -184,6 +190,15 @@ class TestGaps:
         ck = Checkpoint(model, 0, model.params.zeros_like(), {}, record(0, 0.5))
         assert certainty_gap(ck, ck, ds, pgd_cfg(0.2)) == 0.0
 
+    @pytest.mark.parametrize("rng", [0, np.random.default_rng(0)])
+    def test_certainty_gap_zero_for_same_model_with_random_start(self, rng):
+        model = init_model(ModelSpec(4, (8, 3), "relu", 0))
+        ds = make_gaussian_mixture(3, 4, 20, 3.0, 0.8, seed=2)
+        ck = Checkpoint(model, 0, model.params.zeros_like(), {}, record(0, 0.5))
+        atk = AttackConfig(norm="linf", epsilon=0.2, step_size=0.08, steps=5,
+                           random_start=True)
+        assert certainty_gap(ck, ck, ds, atk, rng) == 0.0
+
     def test_certainty_gap_positive_for_constant_best(self):
         ds = make_gaussian_mixture(3, 4, 20, 3.0, 0.8, seed=2)
         const = model_from_arrays(4, [(np.zeros((4, 8)), np.zeros(8)),
@@ -298,3 +313,114 @@ class TestStepsizeSweep:
         assert all(r.ok for r in sweeps[0])
         assert any(r.same_as is not None for r in sweeps[0])  # copied rows
         assert sweeps[0] == sweeps[1]
+
+
+def sequential_stats(model, dataset, attack_config, rng):
+    """The attack pass as one loop over the slices: the reference that
+    ``attacked_stats`` must equal bit for bit at any worker count."""
+    correct, spread_sum, preds_out = 0, 0.0, []
+    for piece in slices(dataset):
+        adv = generate_batch(model, piece, attack_config, rng=rng)
+        logits = forward_logits(model, adv.perturbed)
+        preds = np.argmax(logits, axis=-1)
+        correct += int((preds == piece.labels).sum())
+        spread_sum += float(row_std_value(logits).sum())
+        preds_out.append(preds)
+    n = len(dataset)
+    return correct / n, spread_sum / n, np.concatenate(preds_out)
+
+
+SPLIT_ATTACKS = {
+    "linf": AttackConfig(norm="linf", epsilon=0.3, step_size=0.1, steps=5),
+    "linf_random_start": AttackConfig(norm="linf", epsilon=0.3, step_size=0.1, steps=5,
+                                      random_start=True),
+    "l2": AttackConfig(norm="l2", epsilon=0.8, step_size=0.3, steps=5),
+    "l2_random_start": AttackConfig(norm="l2", epsilon=0.8, step_size=0.3, steps=5,
+                                    random_start=True),
+    "fgsm": AttackConfig(norm="linf", epsilon=0.3, kind="fgsm"),
+    "epsilon_zero": AttackConfig(norm="linf", epsilon=0.0, step_size=1.0, steps=0),
+}
+
+
+def split_datasets():
+    train, _ = default_benchmark()
+    return {
+        "one_slice": train.subset(np.arange(100)),
+        "three_slices": train.subset(np.arange(600)),  # 256 + 256 + 88 rows
+        "eight_slices": train,  # 2000 rows: seven of 256 and one of 208
+    }
+
+
+class TestSplitAcrossWorkers:
+    """Every dataset above 256 rows splits into contiguous runs of slices,
+    one per worker; the figures must not depend on the worker count."""
+
+    MODEL = init_model(ModelSpec(16, (32, 4), "relu", 5))
+    DATASETS = split_datasets()
+
+    @pytest.fixture
+    def worker_count(self, monkeypatch):
+        def set_count(n):
+            if n > 1 and workers.blas_threads() is None:
+                pytest.skip("numpy's OpenBLAS thread count cannot be pinned here")
+            monkeypatch.setattr(workers, "cpu_count", lambda: n)
+        return set_count
+
+    @pytest.mark.parametrize("data", sorted(DATASETS))
+    @pytest.mark.parametrize("attack", sorted(SPLIT_ATTACKS))
+    def test_same_bits_at_one_two_and_three_workers(self, worker_count, data, attack):
+        ds, atk = self.DATASETS[data], SPLIT_ATTACKS[attack]
+        ref_rng = np.random.default_rng(9)
+        want = sequential_stats(self.MODEL, ds, atk, ref_rng)
+        for n in (1, 2, 3):
+            worker_count(n)
+            rng = np.random.default_rng(9)
+            racc, ac, preds = attacked_stats(self.MODEL, ds, atk, rng)
+            assert (racc, ac) == want[:2]
+            assert np.array_equal(preds, want[2])
+            # the generator is left where the sequential pass leaves it
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            hm = compute_heatmap(self.MODEL, ds, atk, 9)
+            worker_count(1)
+            assert np.array_equal(hm.matrix, compute_heatmap(self.MODEL, ds, atk, 9).matrix)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_epsilon_zero_equals_clean_on_every_slice_count(self, worker_count, n):
+        worker_count(n)
+        for ds in self.DATASETS.values():
+            clean = clean_accuracy(self.MODEL, ds)
+            assert robust_accuracy(self.MODEL, ds, SPLIT_ATTACKS["epsilon_zero"]) == clean
+            assert clean == float((np.argmax(forward_logits(self.MODEL, ds.inputs), axis=-1)
+                                   == ds.labels).mean())
+
+    def test_failure_in_a_workers_run_keeps_its_type(self, worker_count, monkeypatch):
+        worker_count(2)
+        parent, attack_run = os.getpid(), diagnostics._attack_run
+
+        def failing(model, run, attack_config):
+            if os.getpid() != parent:
+                raise NumericError("child run blew up")
+            return attack_run(model, run, attack_config)
+
+        monkeypatch.setattr(diagnostics, "_attack_run", failing)
+        with pytest.raises(NumericError, match="child run blew up"):
+            attacked_stats(self.MODEL, self.DATASETS["eight_slices"], SPLIT_ATTACKS["linf"])
+        with pytest.raises(ChildProcessError):  # the worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_in_the_callers_run_reaps_the_worker(self, worker_count, monkeypatch):
+        worker_count(2)
+        parent = os.getpid()
+
+        def failing(model, run, attack_config):
+            if os.getpid() != parent:
+                time.sleep(30)
+            raise NumericError("caller's run blew up")
+
+        monkeypatch.setattr(diagnostics, "_attack_run", failing)
+        t0 = time.perf_counter()
+        with pytest.raises(NumericError, match="caller's run blew up"):
+            attacked_stats(self.MODEL, self.DATASETS["eight_slices"], SPLIT_ATTACKS["linf"])
+        assert time.perf_counter() - t0 < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

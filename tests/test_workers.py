@@ -16,9 +16,9 @@ from advlab import train as train_mod
 from advlab import workers
 from advlab.attack import AttackConfig
 from advlab.data import make_gaussian_mixture
-from advlab.diagnostics import stepsize_sweep
+from advlab.diagnostics import attacked_stats, stepsize_sweep
 from advlab.errors import NumericError, ShapeError, TrainingAborted
-from advlab.netcore import ModelSpec
+from advlab.netcore import ModelSpec, init_model
 from advlab.train import TrainConfig, train_run
 
 pytestmark = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
@@ -93,6 +93,23 @@ def fail_with(exc):
     raise exc
 
 
+def forks_made_by(fn, *args):
+    """How many times ``fn(*args)`` calls ``os.fork``."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    os.fork = counted
+    try:
+        fn(*args)
+    finally:
+        os.fork = fork
+    return len(forks)
+
+
 class Unpicklable(Exception):
     def __init__(self, a, b):
         super().__init__(a)
@@ -150,6 +167,16 @@ class TestWorkers:
                 w.start(time.sleep, 30)
                 raise KeyboardInterrupt
         assert children() == []
+
+    def test_a_worker_never_forks(self, worker_count):
+        worker_count(2)
+        big = make_gaussian_mixture(3, 4, 200, 3.0, 0.8, seed=13)  # 600 rows, 3 slices
+        model = init_model(SPEC)
+        assert forks_made_by(attacked_stats, model, big, ATTACK) == 1
+        with workers.Workers() as w:
+            calls = [w.start(forks_made_by, attacked_stats, model, big, ATTACK),
+                     w.start(forks_made_by, train_run, config(epochs=2), data(), SPEC)]
+            assert [c.result() for c in calls] == [0, 0]
 
     def test_blas_pinned_inside_and_restored(self, blas_count):
         with workers.Workers():
@@ -286,73 +313,14 @@ class TestSweep:
             stepsize_sweep(ckpt, data(), [0.0, 0.1, 0.2, 0.3], config())
 
 
-# Runs train_run and stepsize_sweep on two workers while a SIGALRM handler
-# lists the process's threads every 5 ms and opens each one's children file,
-# as the benchmark's speed probe does.
-THREADS_SCRIPT = """
-import json, os, signal
-from advlab import workers
-from advlab.data import make_gaussian_mixture
-from advlab.diagnostics import stepsize_sweep
-from advlab.netcore import ModelSpec
-from advlab.attack import AttackConfig
-from advlab.train import TrainConfig, train_run
-
-workers.cpu_count = lambda: 2
-atk = AttackConfig(norm="linf", epsilon=0.2, step_size=0.08, steps=5)
-cfg = TrainConfig(epochs=2, batch_size=32, lr=0.05, train_attack=atk, eval_attack=atk,
-                  method="edac", edac_eta=0.05)
-data = (make_gaussian_mixture(3, 4, 40, 3.0, 0.8, seed=11),
-        make_gaussian_mixture(3, 4, 20, 3.0, 0.8, seed=12))
-
-def tasks():
-    ids = sorted(os.listdir("/proc/self/task"))
-    for t in ids:
-        with open(f"/proc/self/task/{t}/children", encoding="ascii") as f:
-            f.read()
-    return ids
-
-seen, errors = set(), []
-def tick(signum, frame):
-    try:
-        seen.add(tuple(tasks()))
-    except OSError as exc:
-        errors.append(repr(exc))
-
-before = tasks()
-signal.signal(signal.SIGALRM, tick)
-signal.setitimer(signal.ITIMER_REAL, 0.005, 0.005)
-last, _, _ = train_run(cfg, data, ModelSpec(4, (16, 3), "relu", 0))
-stepsize_sweep(last, data, [0.0, 0.05, 1e3, 2e3], cfg)
-signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
-print(json.dumps({"before": before, "during": sorted(seen), "after": tasks(),
-                  "errors": errors, "blas": workers.blas_threads() is not None}))
-"""
-
-
-def test_no_thread_starts_or_ends_in_the_parent():
-    """At one BLAS thread, the benchmark's setting. At more, OpenBLAS's own
-    fork handler stops its worker threads in the parent (module docstring)."""
-    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300, check=False)
-    assert done.returncode == 0, done.stderr
-    out = json.loads(done.stdout.strip().splitlines()[-1])
-    if not out["blas"]:
-        pytest.skip("numpy's OpenBLAS thread count cannot be pinned here")
-    assert out["errors"] == []
-    assert len(out["during"]) >= 1
-    assert out["during"] == [out["before"]]
-    assert out["after"] == out["before"]
-
-
+# 300 rows a split, so that every attack pass splits into two runs of slices
 CLI_CONFIG = """
 [dataset]
 kind = gaussian_mixture
 classes = 3
 dim = 6
-train_per_class = 40
-test_per_class = 20
+train_per_class = 100
+test_per_class = 100
 separation = 4.0
 noise_std = 0.8
 seed = 5
@@ -376,17 +344,121 @@ epsilon = 0.25
 step_size = 0.0625
 steps = 5
 
+[train.eval_attack]
+norm = linf
+epsilon = 0.25
+step_size = 0.0625
+steps = 5
+random_start = {random_start}
+
+[eval.pgd]
+norm = linf
+epsilon = 0.25
+step_size = 0.0625
+steps = 3
+
+[eval.pgd_random_start]
+norm = linf
+epsilon = 0.25
+step_size = 0.0625
+steps = 3
+random_start = true
+
+[eval.l2_random_start]
+norm = l2
+epsilon = 0.5
+step_size = 0.25
+steps = 3
+random_start = true
+
 [output]
-dir = {out}
 formats = csv,json
 """
 
-# advlab train and advlab sweep through the CLI, counting forks; argv: out dir, "one" to
-# run on one CPU of the affinity mask
+
+def write_configs(out):
+    """run.ini, and run_rs.ini whose evaluation attack has a random start."""
+    for name, random_start in (("run.ini", "false"), ("run_rs.ini", "true")):
+        (out / name).write_text(CLI_CONFIG.format(random_start=random_start),
+                                encoding="utf-8")
+
+
+# Every command through the CLI, run from the output directory: train, sweep,
+# eval, and heatmap on both splits without and with a random start.
+CLI_COMMANDS = """
+from advlab.cli import main
+
+def run_commands():
+    codes = [main(["train", "--config", "run.ini", "--out", "train"]),
+             main(["sweep", "--config", "run.ini", "--checkpoint", "train/best.ckpt",
+                   "--etas", "0,0.05,1000,2000,0.1,3000", "--out", "sweep"]),
+             main(["eval", "--config", "run.ini", "--checkpoint", "train/last.ckpt",
+                   "--out", "eval"])]
+    for cfg, out in (("run.ini", "heatmap"), ("run_rs.ini", "heatmap_rs")):
+        for split in ("train", "test"):
+            codes.append(main(["heatmap", "--config", cfg, "--checkpoint", "train/best.ckpt",
+                               "--split", split, "--out", out]))
+    return codes
+"""
+
+# The CLI commands on two workers while a SIGALRM handler lists the process's
+# threads every 5 ms and opens each one's children file, as the benchmark's
+# speed probe does.
+THREADS_SCRIPT = """
+import json, os, signal
+from advlab import workers
+
+workers.cpu_count = lambda: 2
+
+def tasks():
+    ids = sorted(os.listdir("/proc/self/task"))
+    for t in ids:
+        with open(f"/proc/self/task/{t}/children", encoding="ascii") as f:
+            f.read()
+    return ids
+
+seen, errors = set(), []
+def tick(signum, frame):
+    try:
+        seen.add(tuple(tasks()))
+    except OSError as exc:
+        errors.append(repr(exc))
+
+before = tasks()
+signal.signal(signal.SIGALRM, tick)
+signal.setitimer(signal.ITIMER_REAL, 0.005, 0.005)
+codes = run_commands()
+signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+print(json.dumps({"before": before, "during": sorted(seen), "after": tasks(),
+                  "errors": errors, "codes": codes,
+                  "blas": workers.blas_threads() is not None}))
+"""
+
+
+def test_no_thread_starts_or_ends_in_the_parent(tmp_path):
+    """At one BLAS thread, the benchmark's setting. At more, OpenBLAS's own
+    fork handler stops its worker threads in the parent (module docstring)."""
+    write_configs(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", CLI_COMMANDS + THREADS_SCRIPT], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300,
+                          check=False)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    assert out["codes"] == [0] * 7
+    if not out["blas"]:
+        pytest.skip("numpy's OpenBLAS thread count cannot be pinned here")
+    assert out["errors"] == []
+    assert len(out["during"]) >= 1
+    assert out["during"] == [out["before"]]
+    assert out["after"] == out["before"]
+
+
+# The CLI commands, counting forks; argv: "one" to run on one CPU of the
+# affinity mask
 CLI_SCRIPT = """
 import json, os, sys
-out, cpus = sys.argv[1], sys.argv[2]
-if cpus == "one":
+if sys.argv[1] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 forks = []
 fork = os.fork
@@ -394,12 +466,8 @@ def counted():
     forks.append(1)
     return fork()
 os.fork = counted
-from advlab.cli import main
 from advlab.workers import blas_threads
-cfg = os.path.join(out, "run.ini")
-codes = [main(["train", "--config", cfg, "--out", os.path.join(out, "train")]),
-         main(["sweep", "--config", cfg, "--checkpoint", os.path.join(out, "train", "best.ckpt"),
-               "--etas", "0,0.05,1000,2000,0.1,3000", "--out", os.path.join(out, "sweep")])]
+codes = run_commands()
 print(json.dumps({"codes": codes, "forks": len(forks), "cpus": len(os.sched_getaffinity(0)),
                   "blas": blas_threads() is not None}))
 """
@@ -408,32 +476,37 @@ print(json.dumps({"codes": codes, "forks": len(forks), "cpus": len(os.sched_geta
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
 def test_one_cpu_forks_nothing_and_writes_the_same_bytes(tmp_path):
     runs = {}
+    dirs = ("train", "sweep", "eval", "heatmap", "heatmap_rs")
     for name, cpus, blas in [("two_cpus", "all", None), ("one_cpu", "one", None),
                              ("one_blas_thread", "all", "1")]:
         out = tmp_path / name
         out.mkdir()
-        (out / "run.ini").write_text(CLI_CONFIG.format(out=out), encoding="utf-8")
+        write_configs(out)
         env = dict(os.environ, PYTHONPATH=str(SRC))
         env.pop("OPENBLAS_NUM_THREADS", None)
         if blas:
             env["OPENBLAS_NUM_THREADS"] = blas
-        done = subprocess.run([sys.executable, "-c", CLI_SCRIPT, str(out), cpus], env=env,
-                              capture_output=True, text=True, timeout=300, check=False)
+        done = subprocess.run([sys.executable, "-c", CLI_COMMANDS + CLI_SCRIPT, cpus],
+                              env=env, cwd=out, capture_output=True, text=True, timeout=300,
+                              check=False)
         assert done.returncode == 0, done.stderr
         *stdout, last = done.stdout.strip().splitlines()
         info = json.loads(last)
-        assert info["codes"] == [0, 0]
+        assert info["codes"] == [0] * 7
         files = {f"{d}/{p.name}": p.read_bytes()
-                 for d in ("train", "sweep") for p in sorted((out / d).iterdir())}
+                 for d in dirs for p in sorted((out / d).iterdir())}
         runs[name] = (info, stdout, files)
     assert runs["one_cpu"][0]["cpus"] == 1
     assert runs["one_cpu"][0]["forks"] == 0
     two = runs["two_cpus"][0]
     if two["cpus"] > 1 and two["blas"]:
         assert two["forks"] > 0
-    assert sorted(runs["two_cpus"][2]) == ["sweep/sweep.csv", "train/best.ckpt",
-                                           "train/history.csv", "train/history.json",
-                                           "train/last.ckpt", "train/summary.json"]
+    assert sorted(runs["two_cpus"][2]) == [
+        "eval/eval.json",
+        *(f"{d}/{kind}_{split}.csv" for d in ("heatmap", "heatmap_rs")
+          for kind in ("heatmap", "label_variance") for split in ("test", "train")),
+        "sweep/sweep.csv", "train/best.ckpt", "train/history.csv", "train/history.json",
+        "train/last.ckpt", "train/summary.json"]
     for name in ("one_cpu", "one_blas_thread"):
         assert runs[name][1] == runs["two_cpus"][1]
         assert runs[name][2] == runs["two_cpus"][2]

@@ -61,8 +61,8 @@ from .objective import (
 )
 from .train import (
     Checkpoint,
-    HalfStepReport,
     OptState,
+    StepReport,
     TrainConfig,
     at_update,
     certainty_descent_probe,

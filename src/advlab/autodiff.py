@@ -34,10 +34,6 @@ def log_softmax_rows(z: Array) -> Array:
     return z - logsumexp_rows(z)
 
 
-def softmax_rows(z: Array) -> Array:
-    return np.exp(log_softmax_rows(z))
-
-
 def row_std_value(u: Array) -> Array:
     """Per-row population standard deviation (the logit-spread functional)."""
     centered = u - u.mean(axis=-1, keepdims=True)

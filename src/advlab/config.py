@@ -11,12 +11,12 @@ from typing import Optional
 
 import numpy as np
 
-from .attack import AttackConfig
+from .attack import KINDS, NORMS, AttackConfig
 from .data import Dataset, SplitSpec, default_benchmark, load_idx_images, make_gaussian_mixture, split
 from .errors import ConfigError
-from .netcore import ModelSpec
-from .objective import ObjectiveKind
-from .train import TrainConfig
+from .netcore import ACTIVATIONS, ModelSpec
+from .objective import OBJECTIVE_KINDS, ObjectiveKind
+from .train import METHODS, TrainConfig
 
 
 class _Section(dict):
@@ -155,11 +155,11 @@ class SectionView:
 
 def _attack_from(view: SectionView) -> AttackConfig:
     cfg = AttackConfig(
-        norm=view.get_str("norm", "linf", choices=("linf", "l2")),
+        norm=view.get_str("norm", "linf", choices=NORMS),
         epsilon=view.get_float("epsilon", required=True),
         step_size=view.get_float("step_size", 1.0),
         steps=view.get_int("steps", 0),
-        kind=view.get_str("kind", "pgd", choices=("pgd", "fgsm")),
+        kind=view.get_str("kind", "pgd", choices=KINDS),
         random_start=view.get_bool("random_start", False),
         domain_clamp=view.get_clamp("clamp", None),
     )
@@ -279,7 +279,7 @@ def parse_config(text, source="<config>") -> ExperimentConfig:
 
     model = take("model")
     hidden = model.get_int_list("hidden", (64, 64))
-    activation = model.get_str("activation", "relu", choices=("relu", "tanh"))
+    activation = model.get_str("activation", "relu", choices=ACTIVATIONS)
     init_seed = model.get_int("init_seed", 0)
     model.reject_unknown()
 
@@ -289,7 +289,7 @@ def parse_config(text, source="<config>") -> ExperimentConfig:
 
     tr = take("train")
     objective = ObjectiveKind(
-        kind=tr.get_str("objective", "at_ce", choices=("at_ce", "trades")),
+        kind=tr.get_str("objective", "at_ce", choices=OBJECTIVE_KINDS),
         trades_beta=tr.get_float("trades_beta", 6.0),
     )
     train_cfg = TrainConfig(
@@ -305,7 +305,7 @@ def parse_config(text, source="<config>") -> ExperimentConfig:
         train_attack=train_attack,
         eval_attack=eval_attack,
         seed=tr.get_int("seed", 0),
-        method=tr.get_str("method", "at", choices=("at", "edac", "edac_reg")),
+        method=tr.get_str("method", "at", choices=METHODS),
     )
     tr.reject_unknown()
 

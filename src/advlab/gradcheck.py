@@ -85,7 +85,7 @@ def _random_case(rng, max_tries=50):
 
 
 def _robust_grad_err(model, adv, objective, h, fault) -> float:
-    g = robust_grad(model, adv, objective)
+    g, _ = robust_grad(model, adv, objective)
 
     def loss(params):
         return robust_loss(ModelState(model.spec, params), adv, objective)
@@ -148,7 +148,7 @@ def check_certainty_grad(cases=100, h=1e-5, seed=3, fault=0.0,
         frozen = adv.perturbed.copy()
         if not _clear_of_kinks(model, frozen):
             continue
-        g = grad_certainty_frozen(model, frozen)
+        g, _ = grad_certainty_frozen(model, frozen)
         fd = finite_diff_param_grad(
             lambda params: certainty_value(ModelState(model.spec, params), frozen),
             model.params, h)

@@ -182,11 +182,6 @@ def init_model(spec: ModelSpec) -> ModelState:
     return ModelState(spec, ParamVector(segments))
 
 
-def init_bound(fan_in: int) -> float:
-    """The documented half-width of the uniform init for a given fan-in."""
-    return 1.0 / np.sqrt(fan_in)
-
-
 def _as_rows(x, input_dim: int):
     """Promote a single input to a one-row batch; report whether it was single."""
     x = as_f64(x)
@@ -203,7 +198,8 @@ def _as_rows(x, input_dim: int):
 
 def _forward(model: ModelState, rows, tape=None):
     """The MLP layer loop over a row batch; appends (layer input,
-    pre-activation) per layer to ``tape`` when one is given."""
+    pre-activation) per layer to ``tape`` when one is given. Non-finite
+    logits raise ``NumericError``."""
     use_relu = model.spec.activation == "relu"
     z = rows
     last = len(model.spec.layer_widths) - 1
@@ -216,6 +212,8 @@ def _forward(model: ModelState, rows, tape=None):
             tape.append((x, z))
         if i < last:
             z = np.maximum(z, 0.0) if use_relu else np.tanh(z)
+    if not np.isfinite(z).all():
+        raise NumericError("forward pass produced non-finite logits")
     return z
 
 
@@ -223,8 +221,6 @@ def forward_logits(model: ModelState, x) -> np.ndarray:
     """Logits of ``x`` under ``model``; accepts a single input or a row batch."""
     rows, single = _as_rows(x, model.spec.input_dim)
     z = _forward(model, rows)
-    if not np.isfinite(z).all():
-        raise NumericError("forward pass produced non-finite logits")
     return z[0] if single else z
 
 

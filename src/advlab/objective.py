@@ -26,7 +26,7 @@ from .autodiff import (
 from .attack import AdversarialBatch, AttackConfig, generate_batch
 from .data import Batch
 from .errors import ConfigError, ShapeError
-from .netcore import DiffModel, ModelState, ParamVector, backward, forward_logits
+from .netcore import DiffModel, ModelState, backward, forward_logits
 
 OBJECTIVE_KINDS = ("at_ce", "trades")
 
@@ -94,23 +94,30 @@ def robust_loss(model: ModelState, adv_batch: AdversarialBatch,
     return trades_loss(model, clean, adv_batch.perturbed, objective.trades_beta)
 
 
-def robust_grad(model: ModelState, adv_batch: AdversarialBatch,
-                objective: ObjectiveKind) -> ParamVector:
-    """Parameter gradient of ``robust_loss``, the attack outputs held fixed.
+def robust_grad(model: ModelState, adv_batch: AdversarialBatch, objective: ObjectiveKind,
+                certainty_weight=0.0):
+    """(gradient, certainty): the parameter gradient of ``robust_loss`` plus
+    ``certainty_weight`` times the attacked rows' mean logit spread, the
+    attack outputs held fixed, and that spread, all from one recorded forward.
 
     TRADES sums three backward passes, clean cross-entropy, clean-side KL and
-    adversarial-side KL, in that order: the order fixes the rounding.
+    adversarial-side KL, in that order, and the certainty term comes last: the
+    order fixes the rounding. A zero weight makes no certainty backward.
     """
     n = len(adv_batch)
     adv = DiffModel(model)
     adv_logits = adv.logits(adv_batch.perturbed)
     if objective.kind == "at_ce":
-        return backward(adv, ce_rows_grad(adv_logits, adv_batch.labels, 1.0 / n))
-    clean = DiffModel(model)
-    clean_logits = clean.logits(adv_batch.originals)
-    d_clean, d_adv = kl_rows_grad(clean_logits, adv_logits, objective.trades_beta / n)
-    ce = backward(clean, ce_rows_grad(clean_logits, adv_batch.labels, 1.0 / n))
-    return (ce + backward(clean, d_clean)) + backward(adv, d_adv)
+        grad = backward(adv, ce_rows_grad(adv_logits, adv_batch.labels, 1.0 / n))
+    else:
+        clean = DiffModel(model)
+        clean_logits = clean.logits(adv_batch.originals)
+        d_clean, d_adv = kl_rows_grad(clean_logits, adv_logits, objective.trades_beta / n)
+        ce = backward(clean, ce_rows_grad(clean_logits, adv_batch.labels, 1.0 / n))
+        grad = (ce + backward(clean, d_clean)) + backward(adv, d_adv)
+    if certainty_weight != 0.0:
+        grad = grad + backward(adv, row_std_grad(adv_logits, certainty_weight / n))
+    return grad, float(row_std_value(adv_logits).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -124,16 +131,18 @@ def adversarial_certainty(model: ModelState, batch: Batch, attack_config: Attack
     return CertaintyReport(per_example, float(per_example.mean()))
 
 
-def grad_certainty_frozen(model: ModelState, adv_inputs, weight=1.0) -> ParamVector:
-    """Parameter gradient of ``weight`` times the mean logit spread on fixed
-    inputs."""
+def grad_certainty_frozen(model: ModelState, adv_inputs):
+    """Parameter gradient of the mean logit spread on fixed inputs, and that
+    mean spread, from one forward; returns (gradient, certainty)."""
     dm = DiffModel(model)
     logits = dm.logits(adv_inputs)
-    return backward(dm, row_std_grad(logits, weight / logits.shape[0]))
+    return (backward(dm, row_std_grad(logits, 1.0 / logits.shape[0])),
+            float(row_std_value(logits).mean()))
 
 
 def certainty_value(model: ModelState, adv_inputs) -> float:
-    """Mean logit spread on fixed inputs (no attack regeneration)."""
+    """Mean logit spread on fixed inputs (no attack regeneration): the
+    value-only oracle of the certainty the gradient functions return."""
     return float(row_std_value(forward_logits(model, as_f64(adv_inputs))).mean())
 
 

@@ -1,22 +1,23 @@
 """Optimizers and training loops.
 
-Three per-batch update rules share one SGD core:
+Three per-batch update rules share one robust step: attack the batch at the
+given weights, then one momentum SGD step on the surrogate loss over the
+attacked inputs, plus an optional weight times their frozen certainty.
 
-* ``at_update``: attack the batch at the current weights, take one momentum
-  SGD step on the surrogate loss over the attacked inputs.
-* ``edac_update``: first take a plain (momentum-free) descent step on the
-  batch certainty with the attacks held frozen, regenerate the attacks at the
-  half-step weights, then take the usual robustness step from there. The
-  momentum buffer only ever sees the robustness gradient. The half-step size
-  is ``edac_eta`` decayed on the learning-rate schedule (``eta_at_epoch``),
-  so both extragradient steps share one step-size sequence, and it is capped
-  at the Polyak step ``ac / |g_ac|^2`` so that it never carries the
-  linearised certainty past zero.
-* ``edac_reg_update``: a single step on ``robust loss + lambda * certainty``
-  with one shared frozen attack batch.
+* ``at_update``: the robust step at the current weights.
+* ``edac_update``: first a plain (momentum-free) descent step on the batch
+  certainty with the attacks held frozen, then the robust step from the
+  half-step weights. The half-step size is ``edac_eta`` decayed on the
+  learning-rate schedule (``eta_at_epoch``), so both extragradient steps
+  share one step-size sequence, and it is capped at the Polyak step
+  ``ac / |g_ac|^2`` so that it never carries the linearised certainty past
+  zero.
+* ``edac_reg_update``: the robust step with certainty weight
+  ``edac_reg_lambda``.
 
-With a zero certainty step size (or zero lambda) the two variants compute
-``at_update``'s update and no other, so their trajectories match bitwise.
+Every rule returns (model, optimizer state, ``StepReport``). With a zero
+certainty step size (or zero lambda) the two variants compute ``at_update``'s
+update and report and no other, so their trajectories match bitwise.
 
 All randomness is derived statelessly from (config.seed, step index, stream
 tag), which makes checkpoint resumption reproduce an uninterrupted run
@@ -117,13 +118,15 @@ class OptState:
 
 
 @dataclass(frozen=True)
-class HalfStepReport:
-    """Batch certainty before the half step and after attack regeneration,
-    with the half-step size actually used (decayed and capped)."""
+class StepReport:
+    """An update's attacked-batch certainty before the half step and at the
+    robust step, the half-step size used and whether the Polyak cap cut it;
+    without a half step, ``ac_before == ac_after`` and ``eta`` is 0.0."""
 
     ac_before: float
     ac_after: float
-    eta: float
+    eta: float = 0.0
+    capped: bool = False
 
 
 @dataclass(frozen=True)
@@ -173,21 +176,29 @@ def _apply_sgd(model: ModelState, grad: ParamVector, config: TrainConfig, opt: O
     return ModelState(model.spec, new_params), OptState(new_buf, opt.epoch, opt.step + 1)
 
 
-def at_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state: OptState):
-    """Attack at the current weights, one SGD step on the robust surrogate."""
+def _robust_step(model: ModelState, batch: Batch, config: TrainConfig, opt_state: OptState,
+                 certainty_weight=0.0):
+    """Attack at ``model``, then one SGD step on the robust surrogate plus
+    ``certainty_weight`` times the attacked batch's frozen certainty."""
     adv = generate_batch(model, batch, config.train_attack,
                          rng=_train_rng(config, opt_state, STREAM_ROB))
-    return _apply_sgd(model, robust_grad(model, adv, config.objective), config, opt_state)
+    grad, ac = robust_grad(model, adv, config.objective, certainty_weight)
+    return (*_apply_sgd(model, grad, config, opt_state), StepReport(ac, ac))
+
+
+def at_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state: OptState):
+    """Attack at the current weights, one SGD step on the robust surrogate."""
+    return _robust_step(model, batch, config, opt_state)
 
 
 def edac_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state: OptState):
-    """Two-step update: certainty descent, then robustness from the half step.
+    """Two-step update: certainty descent, then the robust step from there.
 
     The half step is plain gradient descent with the freshly generated
-    attacks frozen; the attacks are regenerated against the half-step weights
-    before the robustness step, and the momentum buffer is updated only by
-    the robustness gradient. A zero step size skips the half step; what is
-    left is ``at_update``'s computation, so the reduction is bitwise.
+    attacks frozen; the robust step regenerates the attacks against the
+    half-step weights, and the momentum buffer is updated only by the
+    robustness gradient. A zero step size skips the half step; what is left
+    is ``at_update``'s computation, so the reduction is bitwise.
 
     The half-step size is ``eta_at_epoch``: ``edac_eta`` times the same decay
     factor, at the same epochs, as the learning rate, because an
@@ -206,54 +217,42 @@ def edac_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state:
 
     The paper's abstract states no step-size rule, so the schedule and the
     cap are this implementation's choices, not ones checked against the
-    paper's text. ``HalfStepReport.eta`` carries the size actually used.
+    paper's text. ``StepReport.eta`` carries the size actually used and
+    ``StepReport.capped`` whether the cap cut it.
     """
     eta = eta_at_epoch(config, opt_state.epoch)
-    half_model, ac_before = model, None
-    if eta != 0.0:
-        adv0 = generate_batch(model, batch, config.train_attack,
-                              rng=_train_rng(config, opt_state, STREAM_AC))
-        ac_before = certainty_value(model, adv0.perturbed)
-        g_ac = grad_certainty_frozen(model, adv0.perturbed)
-        flat = g_ac.flatten()
-        # numpy's pairwise sum: a BLAS dot splits the sum by thread count
-        g_sq = float((flat * flat).sum())
-        if g_sq > 0.0:
-            eta = min(eta, ac_before / g_sq)
-        half_params = model.params - g_ac * eta
-        if not half_params.allfinite():
-            raise NumericError("non-finite parameters after the certainty half step")
-        half_model = ModelState(model.spec, half_params)
-    adv = generate_batch(half_model, batch, config.train_attack,
-                         rng=_train_rng(config, opt_state, STREAM_ROB))
-    ac_after = certainty_value(half_model, adv.perturbed)
-    new_model, new_opt = _apply_sgd(half_model, robust_grad(half_model, adv, config.objective),
-                                    config, opt_state)
-    ac_before = ac_after if ac_before is None else ac_before
-    return new_model, new_opt, HalfStepReport(ac_before, ac_after, eta)
+    if eta == 0.0:
+        return _robust_step(model, batch, config, opt_state)
+    adv0 = generate_batch(model, batch, config.train_attack,
+                          rng=_train_rng(config, opt_state, STREAM_AC))
+    g_ac, ac_before = grad_certainty_frozen(model, adv0.perturbed)
+    flat = g_ac.flatten()
+    # numpy's pairwise sum: a BLAS dot splits the sum by thread count
+    g_sq = float((flat * flat).sum())
+    capped = g_sq > 0.0 and ac_before / g_sq < eta
+    if capped:
+        eta = ac_before / g_sq
+    half_params = model.params - g_ac * eta
+    if not half_params.allfinite():
+        raise NumericError("non-finite parameters after the certainty half step")
+    new_model, new_opt, report = _robust_step(ModelState(model.spec, half_params), batch,
+                                              config, opt_state)
+    return new_model, new_opt, StepReport(ac_before, report.ac_after, eta, capped)
 
 
 def edac_reg_update(model: ModelState, batch: Batch, config: TrainConfig,
                     opt_state: OptState):
     """One SGD step on robust loss plus lambda times the frozen certainty."""
-    adv = generate_batch(model, batch, config.train_attack,
-                         rng=_train_rng(config, opt_state, STREAM_ROB))
-    lam = config.edac_reg_lambda
-    grad = robust_grad(model, adv, config.objective)
-    if lam != 0.0:
-        grad = grad + grad_certainty_frozen(model, adv.perturbed, lam)
-    return _apply_sgd(model, grad, config, opt_state)
+    return _robust_step(model, batch, config, opt_state, config.edac_reg_lambda)
 
 
 def apply_update(model, batch, config, opt_state):
-    """Dispatch on ``config.method``; always returns (model, opt, report|None)."""
+    """Dispatch on ``config.method``; returns (model, opt, StepReport)."""
     if config.method == "at":
-        m, o = at_update(model, batch, config, opt_state)
-        return m, o, None
+        return at_update(model, batch, config, opt_state)
     if config.method == "edac":
         return edac_update(model, batch, config, opt_state)
-    m, o = edac_reg_update(model, batch, config, opt_state)
-    return m, o, None
+    return edac_reg_update(model, batch, config, opt_state)
 
 
 def certainty_descent_probe(model: ModelState, batch: Batch, attack_config: AttackConfig,
@@ -269,9 +268,7 @@ def certainty_descent_probe(model: ModelState, batch: Batch, attack_config: Atta
         rng = np.random.default_rng(seed) if attack_config.random_start else None
         return generate_batch(m, batch, attack_config, rng=rng)
 
-    adv0 = attacked(model)
-    ac0 = certainty_value(model, adv0.perturbed)
-    g = grad_certainty_frozen(model, adv0.perturbed)
+    g, ac0 = grad_certainty_frozen(model, attacked(model).perturbed)
     eta = float(eta0)
     ac1 = float("nan")
     for _ in range(max_halvings + 1):
@@ -424,19 +421,18 @@ def continue_one_epoch(checkpoint: Checkpoint, train_set: Dataset, config: Train
     Uses the same shuffle and step seeding as ``train_run`` would for that
     epoch, so a zero certainty step size reproduces a plain continuation.
     ``capped`` is true when the Polyak cap cut the certainty half step on
-    every batch, that is when each ``HalfStepReport.eta`` is strictly below
-    the scheduled ``eta_at_epoch``. It is false for ``at``, ``edac_reg``, a
-    zero step size and any batch whose certainty gradient is zero.
+    every batch (each ``StepReport.capped``). It is false for ``at``,
+    ``edac_reg``, a zero step size and any batch whose certainty gradient is
+    zero.
     """
     nb = batches_per_epoch(train_set, config)
     epoch = checkpoint.epoch + 1
-    scheduled = eta_at_epoch(config, epoch)
     model = checkpoint.model
     opt = OptState(checkpoint.optimizer_momentum, epoch, epoch * nb)
     capped = True
     for batch in epoch_batches(train_set, config, epoch):
         model, opt, report = apply_update(model, batch, config, opt)
-        capped = capped and report is not None and report.eta < scheduled
+        capped = capped and report.capped
     return model, capped
 
 

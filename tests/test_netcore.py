@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from advlab.autodiff import ce_rows_grad, ce_rows_value, finite_diff_grad, softmax_rows
+from advlab.autodiff import ce_rows_grad, ce_rows_value, finite_diff_grad, log_softmax_rows
 from advlab.data import Batch
-from advlab.errors import ConfigError, ShapeError
+from advlab.errors import ConfigError, NumericError, ShapeError
 from advlab.netcore import (
     DiffModel,
     ModelSpec,
@@ -12,7 +12,6 @@ from advlab.netcore import (
     backward,
     finite_diff_param_grad,
     forward_logits,
-    init_bound,
     init_model,
     predict_label,
 )
@@ -78,7 +77,7 @@ class TestInitModel:
         spec = ModelSpec(2, (4, 2), "relu", init_seed=7)
         model = init_model(spec)
         for i, (fan_in, _) in enumerate(spec.layer_dims()):
-            bound = init_bound(fan_in)
+            bound = 1.0 / np.sqrt(fan_in)
             assert np.abs(model.params[f"w{i}"]).max() <= bound
             assert np.abs(model.params[f"b{i}"]).max() <= bound
 
@@ -119,6 +118,15 @@ class TestForward:
         model = init_model(ModelSpec(3, (5, 2)))
         with pytest.raises(ShapeError):
             forward_logits(model, np.zeros(4))
+
+    def test_non_finite_logits_raise_on_every_forward(self):
+        # finite weights whose logits overflow: plain and recorded forwards
+        huge = model_from_arrays(3, [(np.full((3, 2), 1e308), np.zeros(2))])
+        x = np.ones((4, 3))
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            forward_logits(huge, x)
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            DiffModel(huge).logits(x)
 
     def test_determinism_bitwise(self, rng):
         model = init_model(ModelSpec(6, (8, 3), "relu", 5))
@@ -231,7 +239,7 @@ class TestGradients:
         x = np.array([0.3, -0.7, 1.1])
         y = 0
         _, g = ce_grads(model, x[None, :], np.array([y]))
-        p = softmax_rows((x @ w)[None, :])[0]
+        p = np.exp(log_softmax_rows((x @ w)[None, :]))[0]
         p[y] -= 1.0
         assert np.allclose(g[0], w @ p, rtol=0, atol=1e-12)
 

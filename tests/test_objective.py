@@ -198,22 +198,24 @@ class TestGradCertainty:
         model = init_model(ModelSpec(3, (5, 4), "relu", 0))
         batch = Batch(rng.normal(size=(6, 3)), rng.integers(0, 4, size=6))
         adv = generate_batch(model, batch, pgd5(0.1))
-        g = grad_certainty_frozen(model, adv.perturbed)
+        g, _ = grad_certainty_frozen(model, adv.perturbed)
         assert float(g["b1"].sum()) == pytest.approx(0.0, abs=1e-12)
 
     def test_epsilon_zero_matches_clean_spread_grad(self, rng):
         model = init_model(ModelSpec(3, (5, 2), "tanh", 0))
         batch = Batch(rng.normal(size=(6, 3)), rng.integers(0, 2, size=6))
         adv = generate_batch(model, batch, pgd5(0.0))
-        g = grad_certainty_frozen(model, adv.perturbed)
-        assert g.equals(grad_certainty_frozen(model, batch.inputs))
+        g, ac = grad_certainty_frozen(model, adv.perturbed)
+        assert g.equals(grad_certainty_frozen(model, batch.inputs)[0])
+        assert ac == certainty_value(model, batch.inputs)
 
     def test_frozen_grad_matches_fd(self, rng):
         model = init_model(ModelSpec(4, (6, 3), "tanh", 1))
         batch = Batch(rng.normal(size=(5, 4)), rng.integers(0, 3, size=5))
         adv = generate_batch(model, batch, pgd5(0.15))
         frozen = adv.perturbed.copy()
-        g = grad_certainty_frozen(model, frozen)
+        g, ac = grad_certainty_frozen(model, frozen)
+        assert ac == certainty_value(model, frozen)
 
         def loss(params):
             return certainty_value(ModelState(model.spec, params), frozen)

@@ -11,13 +11,15 @@ import advlab
 from advlab.attack import AttackConfig
 from advlab.autodiff import ce_rows_grad
 from advlab.data import Batch, make_gaussian_mixture
-from advlab.errors import CheckpointError, ConfigError, TrainingAborted
+from advlab.errors import CheckpointError, ConfigError, NumericError, TrainingAborted
 from advlab.netcore import DiffModel, ModelSpec, ModelState, ParamVector, backward, init_model
 from advlab.objective import ObjectiveKind, certainty_value, grad_certainty_frozen
 from advlab.train import (
     Checkpoint,
     OptState,
+    StepReport,
     TrainConfig,
+    apply_update,
     at_update,
     certainty_descent_probe,
     edac_reg_update,
@@ -119,7 +121,7 @@ class TestUpdates:
     def test_at_lr_zero_no_change(self, rng):
         model, opt = self.model_opt()
         cfg = tiny_config(lr=1e-300)  # lr must be positive; effectively zero
-        m2, _ = at_update(model, self.batch(rng), cfg, opt)
+        m2, _, _ = at_update(model, self.batch(rng), cfg, opt)
         assert np.allclose(m2.params.flatten(), model.params.flatten())
 
     def test_at_matches_reference_loop(self, rng):
@@ -131,7 +133,7 @@ class TestUpdates:
         batches_ = [self.batch(rng) for _ in range(3)]
         got, gopt = model, opt
         for b in batches_:
-            got, gopt = at_update(got, b, cfg, gopt)
+            got, gopt, _ = at_update(got, b, cfg, gopt)
 
         ref_params = model.params
         buf = model.params.zeros_like()
@@ -148,20 +150,62 @@ class TestUpdates:
         cfg_at = tiny_config(method="at")
         cfg_ed = tiny_config(method="edac", edac_eta=0.0)
         b = self.batch(rng)
-        m1, o1 = at_update(model, b, cfg_at, opt)
+        m1, o1, rep_at = at_update(model, b, cfg_at, opt)
         m2, o2, rep = edac_update(model, b, cfg_ed, opt)
         assert m1.params.equals(m2.params)
         assert o1.momentum.equals(o2.momentum)
         assert rep.ac_before == rep.ac_after
+        assert rep_at == rep
+        assert (rep.eta, rep.capped) == (0.0, False)
 
     def test_edac_reg_lambda_zero_bitwise_at(self, rng):
         model, opt = self.model_opt()
         b = self.batch(rng)
-        m1, o1 = at_update(model, b, tiny_config(method="at"), opt)
-        m2, o2 = edac_reg_update(model, b, tiny_config(method="edac_reg",
-                                                       edac_reg_lambda=0.0), opt)
+        m1, o1, _ = at_update(model, b, tiny_config(method="at"), opt)
+        m2, o2, _ = edac_reg_update(model, b, tiny_config(method="edac_reg",
+                                                          edac_reg_lambda=0.0), opt)
         assert m1.params.equals(m2.params)
         assert o1.momentum.equals(o2.momentum)
+
+    def test_edac_reg_reports_attacked_batch_certainty(self, rng):
+        from advlab.attack import generate_batch
+
+        model, opt = self.model_opt()
+        cfg = tiny_config(method="edac_reg")
+        b = self.batch(rng)
+        _, _, rep = edac_reg_update(model, b, cfg, opt)
+        ac = certainty_value(model, generate_batch(model, b, cfg.train_attack).perturbed)
+        assert rep.ac_after == ac
+        assert rep == StepReport(ac, ac, 0.0, False)
+
+    @pytest.mark.parametrize("method, eta, forwards", [
+        ("at", 0.05, 4), ("edac", 0.05, 8), ("edac", 0.0, 4), ("edac_reg", 0.05, 4)])
+    def test_each_rows_forwarded_once(self, rng, monkeypatch, method, eta, forwards):
+        # 3 attack steps, then the robust step's one forward of the attacked
+        # rows; edac's half step attacks at the old weights and takes its
+        # certainty and gradient from one forward
+        from advlab import netcore
+
+        calls = []
+        forward = netcore._forward
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(netcore, "_forward", counted)
+        atk = AttackConfig(norm="linf", epsilon=0.2, step_size=0.05, steps=3)
+        model, opt = self.model_opt()
+        cfg = tiny_config(method=method, edac_eta=eta, train_attack=atk)
+        apply_update(model, self.batch(rng), cfg, opt)
+        assert len(calls) == forwards
+
+    @pytest.mark.parametrize("method", ["at", "edac", "edac_reg"])
+    def test_overflowing_logits_raise(self, rng, method):
+        model, opt = self.model_opt()
+        huge = ModelState(model.spec, model.params * 1e200)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite logits"):
+            apply_update(huge, self.batch(rng), tiny_config(method=method), opt)
 
     def test_edac_lr_zero_returns_half_step(self, rng):
         model, opt = self.model_opt()
@@ -171,10 +215,11 @@ class TestUpdates:
         from advlab.attack import generate_batch
 
         adv0 = generate_batch(model, b, cfg.train_attack)
-        g = grad_certainty_frozen(model, adv0.perturbed)
+        g, _ = grad_certainty_frozen(model, adv0.perturbed)
         half = model.params - g * 0.05
         assert np.allclose(m2.params.flatten(), half.flatten())
         assert rep.eta == 0.05
+        assert not rep.capped
 
     def test_edac_half_step_skips_momentum(self, rng):
         # buffer after edac equals the buffer from a single robust-step sgd
@@ -186,7 +231,7 @@ class TestUpdates:
         _, o2, _ = edac_update(model, b, cfg, opt)
 
         adv0 = generate_batch(model, b, cfg.train_attack)
-        g_ac = grad_certainty_frozen(model, adv0.perturbed)
+        g_ac, _ = grad_certainty_frozen(model, adv0.perturbed)
         half = ModelState(model.spec, model.params - g_ac * 0.03)
         adv1 = generate_batch(half, b, cfg.train_attack)
         grad = ce_grad(half, adv1)
@@ -200,7 +245,7 @@ class TestUpdates:
 
         adv0 = generate_batch(model, b, cfg.train_attack)
         half = ModelState(model.spec,
-                          model.params - grad_certainty_frozen(model, adv0.perturbed) * eta)
+                          model.params - grad_certainty_frozen(model, adv0.perturbed)[0] * eta)
         adv1 = generate_batch(half, b, cfg.train_attack)
         return sgd_step(half.params, ce_grad(half, adv1),
                         lr_at_epoch(cfg, opt.epoch), cfg.momentum, opt.momentum)
@@ -230,10 +275,11 @@ class TestUpdates:
         m2, o2, rep = edac_update(model, b, cfg, opt)
 
         adv0 = generate_batch(model, b, cfg.train_attack)
-        g = grad_certainty_frozen(model, adv0.perturbed).flatten()
+        g = grad_certainty_frozen(model, adv0.perturbed)[0].flatten()
         eta = certainty_value(model, adv0.perturbed) / float((g * g).sum())
         assert eta < 1e3
         assert rep.eta == eta
+        assert rep.capped
         want, v = self.edac_reference(model, b, cfg, opt, eta)
         assert m2.params.equals(want)
         assert o2.momentum.equals(v)
@@ -278,7 +324,7 @@ class TestUpdates:
         lam = 0.7
         cfg = tiny_config(method="edac_reg", edac_reg_lambda=lam, momentum=0.0, lr=1.0)
         b = self.batch(rng)
-        m2, _ = edac_reg_update(model, b, cfg, opt)
+        m2, _, _ = edac_reg_update(model, b, cfg, opt)
         step = model.params - m2.params  # equals the gradient at lr=1, m=0
         adv = generate_batch(model, b, cfg.train_attack)
         frozen = adv.perturbed.copy()
@@ -312,8 +358,8 @@ class TestUpdates:
 
         adv = generate_batch(model, batch, tiny_config().train_attack)
         frozen = adv.perturbed.copy()
-        g = grad_certainty_frozen(model, frozen)
-        ac0 = certainty_value(model, frozen)
+        g, ac0 = grad_certainty_frozen(model, frozen)
+        assert ac0 == certainty_value(model, frozen)
         eta = 0.1
         for _ in range(21):
             m2 = ModelState(model.spec, model.params - g * eta)

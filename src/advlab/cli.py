@@ -256,8 +256,7 @@ def cmd_sweep(args) -> int:
 def cmd_gradcheck(args) -> int:
     config = load_config(args.config)
     results = gradcheck_mod.run_all(
-        cases=args.cases, h=args.h, fault=args.inject_fault,
-        attack=config.train.train_attack,
+        cases=args.cases, h=args.h, attack=config.train.train_attack,
     )
     failed = [r for r in results if not r.ok(args.tolerance)]
     for r in results:
@@ -309,8 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--cases", type=int, default=100)
     p_gc.add_argument("--h", type=float, default=1e-5)
     p_gc.add_argument("--tolerance", type=float, default=gradcheck_mod.DEFAULT_TOLERANCE)
-    p_gc.add_argument("--inject-fault", type=float, default=0.0,
-                      help=argparse.SUPPRESS)  # test hook: perturbs gradients
     p_gc.set_defaults(fn=cmd_gradcheck)
     return parser
 

@@ -78,22 +78,17 @@ class SplitSpec:
 
 
 def make_gaussian_mixture(num_classes, dim, per_class, class_separation, noise_std, seed,
-                          label_flip_fraction=0.0, name="gaussian_mixture") -> Dataset:
+                          name="gaussian_mixture") -> Dataset:
     """Isotropic Gaussian blobs around class means laid out on a circle.
 
     The means sit in the first two coordinates on a circle whose radius makes
     adjacent means exactly ``class_separation`` apart (for dim 1 they sit on a
     line with that spacing); the remaining coordinates carry pure noise.
-    ``label_flip_fraction`` relabels that share of points (seeded, uniformly
-    to another class), the standard way to make memorisation measurably
-    harmful at this scale.
     """
     if num_classes < 1 or dim < 1 or per_class < 1:
         raise ConfigError("num_classes, dim and per_class must all be positive")
     if class_separation < 0 or noise_std < 0:
         raise ConfigError("class_separation and noise_std must be non-negative")
-    if not 0.0 <= label_flip_fraction < 1.0:
-        raise ConfigError(f"label_flip_fraction must lie in [0, 1), got {label_flip_fraction}")
     means = np.zeros((num_classes, dim))
     if num_classes > 1:
         if dim >= 2:
@@ -107,11 +102,6 @@ def make_gaussian_mixture(num_classes, dim, per_class, class_separation, noise_s
     labels = np.repeat(np.arange(num_classes), per_class)
     noise = rng.standard_normal((labels.size, dim)) * noise_std
     inputs = means[labels] + noise
-    if label_flip_fraction > 0.0 and num_classes > 1:
-        n_flip = int(round(label_flip_fraction * labels.size))
-        flip_idx = rng.choice(labels.size, size=n_flip, replace=False)
-        labels = labels.copy()
-        labels[flip_idx] = (labels[flip_idx] + rng.integers(1, num_classes, n_flip)) % num_classes
     return Dataset(inputs, labels, num_classes, None, name)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 from .attack import AttackConfig, draw_start, generate_batch
 from .autodiff import row_std_value
 from .data import Dataset, slices
-from .errors import CheckpointError, ConfigError, NumericError, ShapeError
+from .errors import CheckpointError, ConfigError, NumericError, ShapeError, TrainingAborted
 from .netcore import ModelState, forward_logits, predict_label
 
 CSV_COLUMNS = (
@@ -28,8 +28,11 @@ CSV_COLUMNS = (
 class MetricsRecord:
     """One epoch's measurements.
 
-    ``wall_time_s`` is kept in memory for logging but is excluded from every
-    persisted artifact so that reruns with identical seeds stay byte-identical.
+    ``wall_time_s`` (the update phase's seconds) and ``capped_batches`` (how
+    many of the epoch's batches had their certainty half step cut by the
+    Polyak cap) are kept in memory for the log and the sweep. Neither is
+    persisted: every artifact writes ``wall_time_s`` as 0.0 and omits
+    ``capped_batches``, so reruns with identical seeds stay byte-identical.
     """
 
     epoch: int
@@ -42,6 +45,7 @@ class MetricsRecord:
     ac_train: float
     ac_test: float
     wall_time_s: float = 0.0
+    capped_batches: int = 0
 
     def __post_init__(self):
         for field in ("clean_acc_train", "clean_acc_test", "robust_acc_train",
@@ -54,9 +58,9 @@ class MetricsRecord:
             if not 0.0 <= v < float("inf"):
                 raise NumericError(f"{field}={v} must be finite and non-negative")
 
-    def to_dict(self, include_wall_time=False):
+    def to_dict(self):
         d = {name: getattr(self, name) for name in CSV_COLUMNS}
-        d["wall_time_s"] = self.wall_time_s if include_wall_time else 0.0
+        d["wall_time_s"] = 0.0
         return d
 
     @classmethod
@@ -255,9 +259,9 @@ class SweepRow:
 def stepsize_sweep(checkpoint, data, etas, config) -> list:
     """Continue one extragradient epoch from a checkpoint for each step size.
 
-    Every row restarts from the same checkpoint, trains a single epoch with
-    the given certainty step size, and records the training-split certainty
-    and held-out robust accuracy under the evaluation attack. Rows whose
+    Every row is ``train_run`` resumed from the checkpoint for one epoch with
+    the given certainty step size; it records that epoch's history-row
+    training-split certainty and held-out robust accuracy. Rows whose
     training blows up are kept with NaNs and ``ok=False``. Rows come back in
     request order.
 
@@ -270,13 +274,9 @@ def stepsize_sweep(checkpoint, data, etas, config) -> list:
     first batch, so it takes the same step from the same weights; by
     induction over the batches its weights, and so its metrics, are equal
     to row r's bit for bit. Such a row copies row r's numbers under its own
-    eta and skips the continuation epoch and its two attack passes. The
-    eta = 0 row, failed rows and rows with any uncut batch (including a
-    zero certainty gradient) are never reused.
-
-    The evaluation attacks draw their random start, if any, from
-    ``eval_rng`` at epoch ``checkpoint.epoch + 1`` and the config's seed, as
-    ``train_run`` does for that epoch.
+    eta and skips the continuation epoch and its evaluation. The eta = 0
+    row, failed rows and rows with any uncut batch (including a zero
+    certainty gradient) are never reused.
 
     Rows run in forked workers, as many at a time as ``Workers.count``, in
     request order. A row started before an earlier row came back capped is
@@ -311,7 +311,8 @@ def stepsize_sweep(checkpoint, data, etas, config) -> list:
             # start this row, then later rows that no capped row covers yet
             while ahead < len(etas) and len(running) < workers.count:
                 if source(etas[ahead]) is None:
-                    cfg = replace(config, method="edac", edac_eta=etas[ahead])
+                    cfg = replace(config, method="edac", edac_eta=etas[ahead],
+                                  epochs=checkpoint.epoch + 2)
                     running[ahead] = workers.start(_sweep_row, checkpoint, data, cfg)
                 ahead += 1
             row, capped = running.pop(i).result()
@@ -324,14 +325,13 @@ def stepsize_sweep(checkpoint, data, etas, config) -> list:
 def _sweep_row(checkpoint, data, config):
     """One computed sweep row and whether the cap cut every half step."""
     # imported here to avoid a circular dependency with train
-    from .train import continue_one_epoch, eval_rng
+    from .train import batches_per_epoch, train_run
 
-    train_set, test_set = data
-    atk, epoch = config.eval_attack, checkpoint.epoch + 1
     try:
-        model, capped = continue_one_epoch(checkpoint, train_set, config)
-        ac_train = dataset_certainty(model, train_set, atk, eval_rng(atk, config.seed, epoch, 0))
-        racc = robust_accuracy(model, test_set, atk, eval_rng(atk, config.seed, epoch, 1))
-    except (NumericError, FloatingPointError, OverflowError):
-        return SweepRow(config.edac_eta, float("nan"), float("nan"), False), False
-    return SweepRow(config.edac_eta, ac_train, racc, True), capped
+        _, _, (record,) = train_run(config, data, checkpoint.model, resume_from=checkpoint)
+    except TrainingAborted as exc:
+        if isinstance(exc.__cause__, (NumericError, FloatingPointError, OverflowError)):
+            return SweepRow(config.edac_eta, float("nan"), float("nan"), False), False
+        raise exc.__cause__
+    capped = record.capped_batches == batches_per_epoch(data[0], config)
+    return SweepRow(config.edac_eta, record.ac_train, record.robust_acc_test, True), capped

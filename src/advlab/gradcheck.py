@@ -84,27 +84,27 @@ def _random_case(rng, max_tries=50):
     raise RuntimeError("could not sample a kink-free gradient-check case")
 
 
-def _robust_grad_err(model, adv, objective, h, fault) -> float:
+def _robust_grad_err(model, adv, objective, h) -> float:
     g, _ = robust_grad(model, adv, objective)
 
     def loss(params):
         return robust_loss(ModelState(model.spec, params), adv, objective)
 
     fd = finite_diff_param_grad(loss, model.params, h)
-    return rel_err(g.flatten() + fault, fd.flatten())
+    return rel_err(g.flatten(), fd.flatten())
 
 
-def check_ce_grad(cases=100, h=1e-5, seed=0, fault=0.0) -> GradCheckResult:
+def check_ce_grad(cases=100, h=1e-5, seed=0) -> GradCheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
         model, batch = _random_case(rng)
         clean = AdversarialBatch(batch.inputs, batch.inputs, batch.labels, AttackConfig())
-        worst = max(worst, _robust_grad_err(model, clean, ObjectiveKind("at_ce"), h, fault))
+        worst = max(worst, _robust_grad_err(model, clean, ObjectiveKind("at_ce"), h))
     return GradCheckResult("grad_params", cases, worst)
 
 
-def check_trades_grad(cases=25, h=1e-5, seed=1, fault=0.0) -> GradCheckResult:
+def check_trades_grad(cases=25, h=1e-5, seed=1) -> GradCheckResult:
     rng = np.random.default_rng(seed)
     objective = ObjectiveKind("trades", trades_beta=2.0)
     worst = 0.0
@@ -115,11 +115,11 @@ def check_trades_grad(cases=25, h=1e-5, seed=1, fault=0.0) -> GradCheckResult:
             continue
         # noise of sd 0.05 stays far inside the radius 1
         adv = AdversarialBatch(batch.inputs, perturbed, batch.labels, AttackConfig(epsilon=1.0))
-        worst = max(worst, _robust_grad_err(model, adv, objective, h, fault))
+        worst = max(worst, _robust_grad_err(model, adv, objective, h))
     return GradCheckResult("grad_params_trades", cases, worst)
 
 
-def check_input_grad(cases=100, h=1e-5, seed=2, fault=0.0) -> GradCheckResult:
+def check_input_grad(cases=100, h=1e-5, seed=2) -> GradCheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(cases):
@@ -131,11 +131,11 @@ def check_input_grad(cases=100, h=1e-5, seed=2, fault=0.0) -> GradCheckResult:
             return float(ce_rows_value(forward_logits(model, xx[None, :]), np.array([y]))[0])
 
         fd = finite_diff_grad(loss_of_x, x, h)
-        worst = max(worst, rel_err(g + fault, fd))
+        worst = max(worst, rel_err(g, fd))
     return GradCheckResult("grad_input", cases, worst)
 
 
-def check_certainty_grad(cases=100, h=1e-5, seed=3, fault=0.0,
+def check_certainty_grad(cases=100, h=1e-5, seed=3,
                          attack: AttackConfig | None = None) -> GradCheckResult:
     """Certainty gradient with the attack outputs frozen as constants."""
     rng = np.random.default_rng(seed)
@@ -152,19 +152,18 @@ def check_certainty_grad(cases=100, h=1e-5, seed=3, fault=0.0,
         fd = finite_diff_param_grad(
             lambda params: certainty_value(ModelState(model.spec, params), frozen),
             model.params, h)
-        worst = max(worst, rel_err(g.flatten() + fault, fd.flatten()))
+        worst = max(worst, rel_err(g.flatten(), fd.flatten()))
         done += 1
     return GradCheckResult("grad_certainty_frozen", cases, worst)
 
 
-def run_all(cases=100, h=1e-5, fault=0.0, attack=None):
-    """The full gradient gate; ``fault`` perturbs the checked gradients to
-    exercise the failure path."""
+def run_all(cases=100, h=1e-5, attack=None):
+    """The full gradient gate."""
     if not h > 0:
         raise ConfigError(f"finite-difference step must be positive, got {h}")
     return [
-        check_ce_grad(cases=cases, h=h, fault=fault),
-        check_trades_grad(cases=max(5, cases // 4), h=h, fault=fault),
-        check_input_grad(cases=cases, h=h, fault=fault),
-        check_certainty_grad(cases=cases, h=h, fault=fault, attack=attack),
+        check_ce_grad(cases=cases, h=h),
+        check_trades_grad(cases=max(5, cases // 4), h=h),
+        check_input_grad(cases=cases, h=h),
+        check_certainty_grad(cases=cases, h=h, attack=attack),
     ]

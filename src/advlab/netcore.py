@@ -199,19 +199,20 @@ def _as_rows(x, input_dim: int):
 def _forward(model: ModelState, rows, tape=None):
     """The MLP layer loop over a row batch; appends (layer input,
     pre-activation) per layer to ``tape`` when one is given. Non-finite
-    logits raise ``NumericError``."""
+    logits raise ``NumericError``, with no numpy overflow warning before it."""
     use_relu = model.spec.activation == "relu"
     z = rows
     last = len(model.spec.layer_widths) - 1
-    for i in range(last + 1):
-        # only x and z name arrays, so without a tape each layer's input is
-        # freed as soon as the next layer starts
-        x = z
-        z = x @ model.params[f"w{i}"] + model.params[f"b{i}"]
-        if tape is not None:
-            tape.append((x, z))
-        if i < last:
-            z = np.maximum(z, 0.0) if use_relu else np.tanh(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(last + 1):
+            # only x and z name arrays, so without a tape each layer's input is
+            # freed as soon as the next layer starts
+            x = z
+            z = x @ model.params[f"w{i}"] + model.params[f"b{i}"]
+            if tape is not None:
+                tape.append((x, z))
+            if i < last:
+                z = np.maximum(z, 0.0) if use_relu else np.tanh(z)
     if not np.isfinite(z).all():
         raise NumericError("forward pass produced non-finite logits")
     return z

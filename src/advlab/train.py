@@ -296,9 +296,9 @@ def eval_rng(attack: AttackConfig, base_seed, epoch, split):
 
     ``split`` indexes ``SPLITS``. Every evaluation of the weights after epoch
     ``epoch`` of the run seeded ``base_seed`` draws from here: the per-epoch
-    metrics, ``summary.json``, ``advlab eval``, ``advlab heatmap`` and the
-    sweep (at ``checkpoint.epoch + 1``). So one (weights, split, attack)
-    always gets one random start, and its figures repeat across commands.
+    metrics (the sweep's rows among them), ``summary.json``, ``advlab eval``
+    and ``advlab heatmap``. So one (weights, split, attack) always gets one
+    random start, and its figures repeat across commands.
     """
     if not attack.random_start:
         return None
@@ -306,7 +306,8 @@ def eval_rng(attack: AttackConfig, base_seed, epoch, split):
 
 
 def evaluate_epoch(model: ModelState, train_set: Dataset, test_set: Dataset,
-                   config: TrainConfig, epoch, wall_time_s=0.0) -> MetricsRecord:
+                   config: TrainConfig, epoch, wall_time_s=0.0,
+                   capped_batches=0) -> MetricsRecord:
     atk = config.eval_attack
     clean_tr, rob_tr, ac_tr = split_metrics(model, train_set, atk,
                                             eval_rng(atk, config.seed, epoch, 0))
@@ -317,6 +318,7 @@ def evaluate_epoch(model: ModelState, train_set: Dataset, test_set: Dataset,
         clean_acc_train=clean_tr, clean_acc_test=clean_te,
         robust_acc_train=rob_tr, robust_acc_test=rob_te,
         ac_train=ac_tr, ac_test=ac_te, wall_time_s=wall_time_s,
+        capped_batches=capped_batches,
     )
 
 
@@ -334,7 +336,9 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     measurement runs in a forked worker beside the next epoch's updates
     (``Workers``); the last epoch's runs in the caller, where its attack
     passes split over the CPUs. The best checkpoint is the earliest one
-    maximising held-out robust accuracy. With ``resume_from``, training
+    maximising held-out robust accuracy. Each history row counts the epoch's
+    batches whose half step the Polyak cap cut (``capped_batches``). With
+    ``resume_from``, training
     continues after that checkpoint's epoch and reproduces the uninterrupted
     run bitwise; the resumed checkpoint starts as the incumbent best. Its
     ``base_seed`` must equal ``config.seed``, or the two halves would come from
@@ -380,10 +384,11 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
         if best is None or row.robust_acc_test > best.metrics_row.robust_acc_test:
             best = last
         log.info(
-            "epoch %d [%s] lr=%g clean=%.4f/%.4f robust=%.4f/%.4f ac=%.4f/%.4f (%.2fs)",
+            "epoch %d [%s] lr=%g clean=%.4f/%.4f robust=%.4f/%.4f ac=%.4f/%.4f "
+            "capped=%d/%d (%.2fs)",
             epoch, config.method, row.lr, row.clean_acc_train, row.clean_acc_test,
             row.robust_acc_train, row.robust_acc_test, row.ac_train, row.ac_test,
-            row.wall_time_s,
+            row.capped_batches, nb, row.wall_time_s,
         )
 
     from .workers import Workers  # imported here: not on the command-line start-up path
@@ -397,43 +402,25 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
         for epoch in range(start_epoch, config.epochs):
             t0 = time.perf_counter()
             opt = OptState(opt.momentum, epoch, epoch * nb)
+            capped = 0
             try:
                 for batch in epoch_batches(train_set, config, epoch):
-                    model, opt, _ = apply_update(model, batch, config, opt)
+                    model, opt, report = apply_update(model, batch, config, opt)
+                    capped += report.capped
             except (AdvlabError, ArithmeticError) as exc:
                 if pending is not None:
                     collect(*pending)
                 raise aborted(epoch, exc) from exc
             if pending is not None:
                 collect(*pending)
-            args = (model, train_set, test_set, config, epoch, time.perf_counter() - t0)
+            args = (model, train_set, test_set, config, epoch, time.perf_counter() - t0,
+                    capped)
             if epoch + 1 < config.epochs:
                 pending = (epoch, model, opt.momentum,
                            workers.start(evaluate_epoch, *args).result)
             else:
                 collect(epoch, model, opt.momentum, lambda: evaluate_epoch(*args))
     return last, best, history
-
-
-def continue_one_epoch(checkpoint: Checkpoint, train_set: Dataset, config: TrainConfig):
-    """Run exactly one more epoch from a checkpoint; returns (model, capped).
-
-    Uses the same shuffle and step seeding as ``train_run`` would for that
-    epoch, so a zero certainty step size reproduces a plain continuation.
-    ``capped`` is true when the Polyak cap cut the certainty half step on
-    every batch (each ``StepReport.capped``). It is false for ``at``,
-    ``edac_reg``, a zero step size and any batch whose certainty gradient is
-    zero.
-    """
-    nb = batches_per_epoch(train_set, config)
-    epoch = checkpoint.epoch + 1
-    model = checkpoint.model
-    opt = OptState(checkpoint.optimizer_momentum, epoch, epoch * nb)
-    capped = True
-    for batch in epoch_batches(train_set, config, epoch):
-        model, opt, report = apply_update(model, batch, config, opt)
-        capped = capped and report.capped
-    return model, capped
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +441,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         },
         "epoch": int(checkpoint.epoch),
         "rng": {k: int(v) for k, v in checkpoint.rng_state.items()},
-        "metrics": checkpoint.metrics_row.to_dict(include_wall_time=False),
+        "metrics": checkpoint.metrics_row.to_dict(),
         "segments": [[name, list(arr.shape)] for name, arr in checkpoint.model.params.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")

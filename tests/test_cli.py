@@ -1,14 +1,23 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from advlab import cli
+from advlab import cli, gradcheck
+from advlab import train as train_mod
 from advlab.cli import main
 from advlab.config import load_config
 from advlab.diagnostics import robust_accuracy
+from advlab.errors import ShapeError
+from advlab.objective import robust_grad
 from advlab.train import load_checkpoint
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 QUICK = """
 [dataset]
@@ -192,6 +201,17 @@ class TestTrainCommand:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.ini")]) == 2
 
+    def test_numeric_failure_exit_3_without_numpy_warning(self, quick_config):
+        # the logits overflow on the second batch; the documented error is
+        # the whole report, with no numpy RuntimeWarning printed before it
+        cfg, _ = quick_config(**{"lr = 0.05": "lr = 1e300"})
+        proc = subprocess.run([sys.executable, "-m", "advlab", "train", "--config", str(cfg)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 3
+        assert "numeric failure" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     @pytest.mark.parametrize("old,new", [
         ("seed = 3", "seed = 3\nedac_eta = nan"),
         ("noise_std = 0.8", "noise_std = nan"),
@@ -338,6 +358,21 @@ class TestSweepCommand:
         rows = (out / "sweep.csv").read_text().splitlines()[1:]
         assert rows[0].split(",")[1:] == rows[1].split(",")[1:]
 
+    def test_shape_error_in_a_row_exit_2(self, quick_config, monkeypatch, capsys):
+        cfg, out = quick_config()
+        main(["train", "--config", str(cfg)])
+        update = train_mod.apply_update
+
+        def broken(model, batch, cfg, opt_state):
+            if cfg.edac_eta == 0.05:
+                raise ShapeError("rows do not fit")
+            return update(model, batch, cfg, opt_state)
+
+        monkeypatch.setattr(train_mod, "apply_update", broken)
+        assert main(["sweep", "--config", str(cfg), "--checkpoint",
+                     str(out / "last.ckpt"), "--etas", "0,0.05"]) == 2
+        assert capsys.readouterr().err == "data error: rows do not fit\n"
+
     def test_malformed_etas_exit_2(self, quick_config):
         cfg, out = quick_config()
         main(["train", "--config", str(cfg)])
@@ -400,10 +435,16 @@ class TestGradcheckCommand:
         for h in ("1e-4", "1e-5", "1e-6"):
             assert main(["gradcheck", "--config", str(cfg), "--cases", "5", "--h", h]) == 0
 
-    def test_fault_injection_exit_5(self, quick_config):
+    def test_fault_injection_exit_5(self, quick_config, monkeypatch, capsys):
+        def wrong(*args, **kwargs):
+            grad, ac = robust_grad(*args, **kwargs)
+            return grad * 1.05, ac
+
+        monkeypatch.setattr(gradcheck, "robust_grad", wrong)
         cfg, _ = quick_config()
-        assert main(["gradcheck", "--config", str(cfg), "--cases", "3",
-                     "--inject-fault", "0.05"]) == 5
+        assert main(["gradcheck", "--config", str(cfg), "--cases", "3"]) == 5
+        assert "gradient check failed for: grad_params, grad_params_trades" in \
+            capsys.readouterr().err
 
 
 class TestCheckpointCompat:

@@ -66,12 +66,6 @@ class TestGaussianMixture:
         preds = d2.argmin(axis=1)
         assert (preds == ds.labels).mean() >= 0.99
 
-    def test_label_flips_respect_fraction(self):
-        clean = make_gaussian_mixture(4, 8, 100, 2.0, 0.5, seed=9)
-        noisy = make_gaussian_mixture(4, 8, 100, 2.0, 0.5, seed=9, label_flip_fraction=0.1)
-        assert np.array_equal(clean.inputs, noisy.inputs)
-        assert (clean.labels != noisy.labels).sum() == 40
-
     def test_one_dim_line_arrangement(self):
         ds = make_gaussian_mixture(3, 1, 2, class_separation=1.5, noise_std=0.0, seed=0)
         xs = np.unique(ds.inputs)

@@ -1,5 +1,6 @@
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from advlab.diagnostics import (
 from advlab import workers
 from advlab.errors import CheckpointError, NumericError, ShapeError
 from advlab.netcore import ModelSpec, forward_logits, init_model
+from advlab.objective import ObjectiveKind
 from advlab.train import Checkpoint, TrainConfig, train_run
 from conftest import model_from_arrays
 
@@ -231,16 +233,10 @@ class TestStepsizeSweep:
 
     def test_eta_zero_row_matches_plain_continuation(self):
         last, data, cfg = self.make_run()
-        from advlab.train import continue_one_epoch
-        from dataclasses import replace
-
         rows = stepsize_sweep(last, data, [0.0], cfg)
-        continued, capped = continue_one_epoch(last, data[0], replace(cfg, method="at"))
-        assert not capped
-        want_ac = dataset_certainty(continued, data[0], cfg.eval_attack)
-        want_racc = robust_accuracy(continued, data[1], cfg.eval_attack)
-        assert rows[0].ac_train == pytest.approx(want_ac, abs=1e-15)
-        assert rows[0].robust_acc_test == pytest.approx(want_racc, abs=1e-15)
+        _, _, history = train_run(replace(cfg, epochs=3), data, ModelSpec(4, (16, 3), "relu", 0))
+        assert (rows[0].ac_train, rows[0].robust_acc_test) == \
+            (history[-1].ac_train, history[-1].robust_acc_test)
 
     def test_certainty_column_decreases(self):
         last, data, cfg = self.make_run()
@@ -255,7 +251,8 @@ class TestStepsizeSweep:
 
     @pytest.fixture
     def epochs_run(self, monkeypatch):
-        """Record (edac_eta, capped) of every continuation epoch the sweep runs.
+        """Record (edac_eta, capped on every batch) of every epoch the sweep
+        trains, from the history row of each ``train_run`` call.
 
         The sweep runs on one worker here, in-process, where the spy sees each
         call; a forked row's calls happen in its child. Two workers return the
@@ -264,14 +261,16 @@ class TestStepsizeSweep:
 
         monkeypatch.setattr(workers, "cpu_count", lambda: 1)
         calls = []
-        original = train_mod.continue_one_epoch
+        original = train_mod.train_run
 
-        def spy(checkpoint, train_set, config):
-            model, capped = original(checkpoint, train_set, config)
-            calls.append((config.edac_eta, capped))
-            return model, capped
+        def spy(config, data, model, resume_from=None):
+            out = original(config, data, model, resume_from=resume_from)
+            (row,) = out[2]
+            calls.append((config.edac_eta,
+                          row.capped_batches == train_mod.batches_per_epoch(data[0], config)))
+            return out
 
-        monkeypatch.setattr(train_mod, "continue_one_epoch", spy)
+        monkeypatch.setattr(train_mod, "train_run", spy)
         return calls
 
     def test_capped_row_reused_bitwise(self, epochs_run):
@@ -313,6 +312,47 @@ class TestStepsizeSweep:
         assert all(r.ok for r in sweeps[0])
         assert any(r.same_as is not None for r in sweeps[0])  # copied rows
         assert sweeps[0] == sweeps[1]
+
+
+class TestSweepRowIsTrainRun:
+    """A computed sweep row is the history row of ``train_run`` resumed from
+    the checkpoint for one epoch, bit for bit, at any worker count."""
+
+    ETAS = [0.0, 0.05, 0.2, 1e3, 2e3]  # 2e3 is copied from the capped 1e3 row
+
+    def config(self, variant):
+        atk = pgd_cfg(0.2)
+        base = dict(epochs=2, batch_size=32, lr=0.05, train_attack=atk, eval_attack=atk,
+                    seed=4, method="edac", edac_eta=0.05)
+        if variant == "edac_reg_trades":
+            base.update(method="edac_reg", objective=ObjectiveKind("trades", trades_beta=2.0))
+        if variant == "random_start":
+            base.update(eval_attack=replace(atk, random_start=True))
+        return TrainConfig(**base)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("variant", ["edac", "edac_reg_trades", "random_start"])
+    def test_computed_rows_equal_resumed_history_rows(self, monkeypatch, variant, n):
+        if n > 1 and workers.blas_threads() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be pinned here")
+        data = (make_gaussian_mixture(3, 4, 40, 3.0, 0.8, seed=11),
+                make_gaussian_mixture(3, 4, 20, 3.0, 0.8, seed=12))
+        spec = ModelSpec(4, (16, 3), "relu", 0)
+        cfg = self.config(variant)
+        last, _, _ = train_run(cfg, data, spec)
+        monkeypatch.setattr(workers, "cpu_count", lambda: n)
+        rows = stepsize_sweep(last, data, self.ETAS, cfg)
+        assert [r.same_as for r in rows] == [None, None, None, None, 1e3]
+        for row in rows[:4]:
+            resumed = replace(cfg, method="edac", edac_eta=row.eta, epochs=last.epoch + 2)
+            _, _, (want,) = train_run(resumed, data, last.model, resume_from=last)
+            assert row.ok
+            assert (row.ac_train, row.robust_acc_test) == (want.ac_train, want.robust_acc_test)
+        if cfg.method == "edac":
+            # the run's own step size continues the run that wrote the checkpoint
+            _, _, history = train_run(replace(cfg, epochs=3), data, spec)
+            assert (rows[1].ac_train, rows[1].robust_acc_test) == \
+                (history[-1].ac_train, history[-1].robust_acc_test)
 
 
 def sequential_stats(model, dataset, attack_config, rng):

@@ -119,13 +119,15 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward_logits(model, np.zeros(4))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_logits_raise_on_every_forward(self):
-        # finite weights whose logits overflow: plain and recorded forwards
+        # finite weights whose logits overflow: plain and recorded forwards,
+        # each raising the documented error and no numpy warning before it
         huge = model_from_arrays(3, [(np.full((3, 2), 1e308), np.zeros(2))])
         x = np.ones((4, 3))
-        with np.errstate(over="ignore"), pytest.raises(NumericError):
+        with pytest.raises(NumericError):
             forward_logits(huge, x)
-        with np.errstate(over="ignore"), pytest.raises(NumericError):
+        with pytest.raises(NumericError):
             DiffModel(huge).logits(x)
 
     def test_determinism_bitwise(self, rng):

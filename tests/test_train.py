@@ -200,11 +200,12 @@ class TestUpdates:
         apply_update(model, self.batch(rng), cfg, opt)
         assert len(calls) == forwards
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method", ["at", "edac", "edac_reg"])
     def test_overflowing_logits_raise(self, rng, method):
         model, opt = self.model_opt()
         huge = ModelState(model.spec, model.params * 1e200)
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="non-finite logits"):
+        with pytest.raises(NumericError, match="non-finite logits"):
             apply_update(huge, self.batch(rng), tiny_config(method=method), opt)
 
     def test_edac_lr_zero_returns_half_step(self, rng):
@@ -409,12 +410,12 @@ class TestTrainRun:
         assert best.metrics_row.robust_acc_test == max(robust)
         assert best.epoch == int(np.argmax(robust))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_abort_carries_last_checkpoint(self):
         train, test = tiny_data()
         cfg = tiny_config(epochs=4, lr=1e250)  # guaranteed numeric blowup
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingAborted) as err:
-                train_run(cfg, (train, test), ModelSpec(4, (8, 3), "relu", 0))
+        with pytest.raises(TrainingAborted) as err:
+            train_run(cfg, (train, test), ModelSpec(4, (8, 3), "relu", 0))
         assert err.value.checkpoint is None  # fails during the first epoch
 
     def test_random_start_attacks_are_reproducible(self):

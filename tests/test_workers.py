@@ -206,10 +206,10 @@ class TestTrainRun:
                                                      next_epoch_fails):
         evaluate, update = train_mod.evaluate_epoch, train_mod.apply_update
 
-        def failing_evaluate(model, train_set, test_set, cfg, epoch, wall_time_s=0.0):
+        def failing_evaluate(model, train_set, test_set, cfg, epoch, *timing):
             if epoch == 1:
                 raise NumericError("evaluation blew up")
-            return evaluate(model, train_set, test_set, cfg, epoch, wall_time_s)
+            return evaluate(model, train_set, test_set, cfg, epoch, *timing)
 
         def failing_update(model, batch, cfg, opt_state):
             if next_epoch_fails and opt_state.epoch == 2:
@@ -285,14 +285,31 @@ class TestSweep:
     def test_numeric_failure_in_a_row_marks_it_failed(self, worker_count, monkeypatch, n,
                                                       exc):
         ckpt = self.checkpoint()
-        continue_one_epoch = train_mod.continue_one_epoch
+        update = train_mod.apply_update
 
-        def failing(checkpoint, train_set, cfg):
+        def failing(model, batch, cfg, opt_state):
             if cfg.edac_eta == 0.05:
                 raise exc("blew up")
-            return continue_one_epoch(checkpoint, train_set, cfg)
+            return update(model, batch, cfg, opt_state)
 
-        monkeypatch.setattr(train_mod, "continue_one_epoch", failing)
+        monkeypatch.setattr(train_mod, "apply_update", failing)
+        worker_count(n)
+        rows = stepsize_sweep(ckpt, data(), [0.0, 0.05, 0.1], config())
+        assert [r.ok for r in rows] == [True, False, True]
+        assert np.isnan(rows[1].ac_train) and np.isnan(rows[1].robust_acc_test)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_numeric_failure_in_a_rows_evaluation_marks_it_failed(self, worker_count,
+                                                                  monkeypatch, n):
+        ckpt = self.checkpoint()
+        evaluate = train_mod.evaluate_epoch
+
+        def failing(model, train_set, test_set, cfg, *rest):
+            if cfg.edac_eta == 0.05:
+                raise NumericError("certainty blew up")
+            return evaluate(model, train_set, test_set, cfg, *rest)
+
+        monkeypatch.setattr(train_mod, "evaluate_epoch", failing)
         worker_count(n)
         rows = stepsize_sweep(ckpt, data(), [0.0, 0.05, 0.1], config())
         assert [r.ok for r in rows] == [True, False, True]
@@ -300,14 +317,15 @@ class TestSweep:
 
     def test_other_row_error_keeps_its_type(self, worker_count, monkeypatch):
         ckpt = self.checkpoint()
+        update = train_mod.apply_update
 
-        def broken(checkpoint, train_set, cfg):
+        def broken(model, batch, cfg, opt_state):
             if cfg.edac_eta == 0.1:
                 raise ShapeError("rows do not fit")
             time.sleep(0.5 if cfg.edac_eta else 0.0)
-            return checkpoint.model, False
+            return update(model, batch, cfg, opt_state)
 
-        monkeypatch.setattr(train_mod, "continue_one_epoch", broken)
+        monkeypatch.setattr(train_mod, "apply_update", broken)
         worker_count(2)
         with pytest.raises(ShapeError, match="rows do not fit"):
             stepsize_sweep(ckpt, data(), [0.0, 0.1, 0.2, 0.3], config())

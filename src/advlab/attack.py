@@ -66,25 +66,29 @@ def perturbation_norm(perturbed, originals, norm):
 
 
 def _clamp(x, config: AttackConfig):
+    """Clip ``x`` into the domain box in place; returns ``x``."""
     if config.domain_clamp is None:
         return x
     lo, hi = config.domain_clamp
-    return np.clip(x, lo, hi)
+    return np.clip(x, lo, hi, out=x)
 
 
 def _project_delta(delta, config: AttackConfig):
+    """Project each row of ``delta`` into the epsilon ball in place; returns
+    ``delta``."""
     if config.norm == "linf":
-        return np.clip(delta, -config.epsilon, config.epsilon)
+        return np.clip(delta, -config.epsilon, config.epsilon, out=delta)
     norms = np.sqrt((delta * delta).sum(axis=-1, keepdims=True))
     factor = np.ones_like(norms)
     over = norms > config.epsilon
     np.divide(config.epsilon, norms, out=factor, where=over)
-    return delta * factor
+    delta *= factor
+    return delta
 
 
-def _ce_grad_x(model: ModelState, rows, labels):
-    """Gradient of the summed cross-entropy with respect to each input row."""
-    dm = DiffModel(model)
+def _ce_grad_x(dm: DiffModel, rows, labels):
+    """Gradient of the summed cross-entropy with respect to each input row,
+    through a forward pass that ``dm`` records; a fresh array."""
     g = backward(dm, ce_rows_grad(dm.logits(rows), labels, 1.0), inputs=True)
     if not np.isfinite(g).all():
         raise NumericError("non-finite input gradient during attack")
@@ -128,18 +132,23 @@ def pgd(model: ModelState, x, y, config: AttackConfig, rng=None, start=None):
         raise ShapeError(f"{rows.shape[0]} inputs but {labels.shape[0]} labels")
     if start is None:
         start = draw_start(config, rng, rows.shape)
-    delta = np.zeros_like(rows) if start is None else start
+    # the iterate and the candidate are updated in place; ``start`` stays the
+    # caller's, and one DiffModel's buffers serve every step
+    delta = np.zeros_like(rows) if start is None else np.array(start, dtype=np.float64)
+    current = np.empty_like(rows)
+    dm = DiffModel(model)
     for _ in range(config.steps):
-        current = _clamp(rows + delta, config)
-        grad = _ce_grad_x(model, current, labels)
+        _clamp(np.add(rows, delta, out=current), config)
+        step = _ce_grad_x(dm, current, labels)
         if config.norm == "linf":
-            step = config.step_size * np.sign(grad)
+            np.sign(step, out=step)
         else:
-            norms = np.sqrt((grad * grad).sum(axis=-1, keepdims=True))
-            unit = np.zeros_like(grad)
-            np.divide(grad, norms, out=unit, where=norms > 0.0)
-            step = config.step_size * unit
-        delta = _project_delta(delta + step, config)
+            norms = np.sqrt((step * step).sum(axis=-1, keepdims=True))
+            unit = np.zeros_like(step)
+            step = np.divide(step, norms, out=unit, where=norms > 0.0)
+        step *= config.step_size
+        delta += step
+        _project_delta(delta, config)
     out = _clamp(rows + delta, config)
     return out[0] if single else out
 
@@ -150,7 +159,7 @@ def fgsm(model: ModelState, x, y, config: AttackConfig):
         raise ConfigError("fgsm is defined for the linf norm only")
     rows, single = _as_rows(x, model.spec.input_dim)
     labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    grad = _ce_grad_x(model, rows, labels)
+    grad = _ce_grad_x(DiffModel(model), rows, labels)
     out = _clamp(rows + config.epsilon * np.sign(grad), config)
     return out[0] if single else out
 

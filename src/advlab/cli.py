@@ -138,10 +138,13 @@ def cmd_train(args) -> int:
     try:
         last, best, history = train_run(config.train, (train_set, test_set), spec)
     except TrainingAborted as exc:
-        epoch = exc.checkpoint.epoch if exc.checkpoint else "none completed"
-        print(f"numeric failure: {exc} (last completed epoch: {epoch})", file=sys.stderr)
         if exc.checkpoint is not None:
             save_checkpoint(exc.checkpoint, out_dir / "aborted.ckpt")
+        # a config or data error keeps its own exit code and message
+        if isinstance(exc.__cause__, (ConfigError, DataFormatError, ShapeError)):
+            raise exc.__cause__
+        epoch = exc.checkpoint.epoch if exc.checkpoint else "none completed"
+        print(f"numeric failure: {exc} (last completed epoch: {epoch})", file=sys.stderr)
         return EXIT_NUMERIC
     write_history_csv(out_dir / "history.csv", history)
     if "json" in config.formats:

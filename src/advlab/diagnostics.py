@@ -5,6 +5,7 @@ step-size sweep."""
 from __future__ import annotations
 
 import copy
+import logging
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -15,6 +16,8 @@ from .autodiff import row_std_value
 from .data import Dataset, slices
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError, TrainingAborted
 from .netcore import ModelState, forward_logits, predict_label
+
+log = logging.getLogger(__name__)
 
 CSV_COLUMNS = (
     "epoch", "method", "lr",
@@ -281,9 +284,13 @@ def stepsize_sweep(checkpoint, data, etas, config) -> list:
     Rows run in forked workers, as many at a time as ``Workers.count``, in
     request order. A row started before an earlier row came back capped is
     dropped and copied once that row covers it, so the rows and their
-    ``same_as`` labels are the ones the rule above gives in sequence.
+    ``same_as`` labels are the ones the rule above gives in sequence. Each
+    computed row logs its epoch line here, in request order.
     """
-    from .workers import Workers  # imported here: not on the command-line start-up path
+    # imported here: train imports this module, and Workers is not on the
+    # command-line start-up path
+    from .train import batches_per_epoch, log_epoch
+    from .workers import Workers
 
     etas = [float(eta) for eta in etas]
     if not etas:
@@ -291,6 +298,7 @@ def stepsize_sweep(checkpoint, data, etas, config) -> list:
     for eta in etas:
         if eta < 0:
             raise ConfigError(f"step sizes must be non-negative, got {eta}")
+    nb = batches_per_epoch(data[0], config)
     rows = []
     capped_rows = []  # computed rows whose half step the cap cut on every batch
     running = {}  # request index -> started row
@@ -315,23 +323,33 @@ def stepsize_sweep(checkpoint, data, etas, config) -> list:
                                   epochs=checkpoint.epoch + 2)
                     running[ahead] = workers.start(_sweep_row, checkpoint, data, cfg)
                 ahead += 1
-            row, capped = running.pop(i).result()
-            rows.append(row)
-            if capped:
-                capped_rows.append(row)
+            record = running.pop(i).result()
+            if record is None:
+                log.info("sweep eta=%g failed", eta)
+                rows.append(SweepRow(eta, float("nan"), float("nan"), False))
+                continue
+            log_epoch(record, nb, f" eta={eta:g}")
+            rows.append(SweepRow(eta, record.ac_train, record.robust_acc_test))
+            if record.capped_batches == nb:
+                capped_rows.append(rows[-1])
     return rows
 
 
 def _sweep_row(checkpoint, data, config):
-    """One computed sweep row and whether the cap cut every half step."""
+    """The history row of one computed sweep row's epoch, or None when its
+    training failed numerically. It logs nothing: the sweep logs its rows
+    in request order, so a row started ahead and then dropped adds no line."""
     # imported here to avoid a circular dependency with train
-    from .train import batches_per_epoch, train_run
+    from .train import log as train_log, train_run
 
+    level = train_log.level
+    train_log.setLevel(logging.WARNING)
     try:
         _, _, (record,) = train_run(config, data, checkpoint.model, resume_from=checkpoint)
     except TrainingAborted as exc:
         if isinstance(exc.__cause__, (NumericError, FloatingPointError, OverflowError)):
-            return SweepRow(config.edac_eta, float("nan"), float("nan"), False), False
+            return None
         raise exc.__cause__
-    capped = record.capped_batches == batches_per_epoch(data[0], config)
-    return SweepRow(config.edac_eta, record.ac_train, record.robust_acc_test, True), capped
+    finally:
+        train_log.setLevel(level)
+    return record

@@ -125,7 +125,7 @@ def check_input_grad(cases=100, h=1e-5, seed=2) -> GradCheckResult:
     for _ in range(cases):
         model, batch = _random_case(rng)
         x, y = batch.inputs[0], int(batch.labels[0])
-        g = _ce_grad_x(model, x[None, :], np.array([y]))[0]
+        g = _ce_grad_x(DiffModel(model), x[None, :], np.array([y]))[0]
 
         def loss_of_x(xx):
             return float(ce_rows_value(forward_logits(model, xx[None, :]), np.array([y]))[0])

@@ -23,23 +23,34 @@ class ParamVector:
     """Ordered, named collection of parameter arrays (weights/biases per layer).
 
     Two vectors with the same layout support elementwise ``+``/``-`` and
-    scalar ``*``; ``flatten``/``unflatten`` round-trip exactly.
+    scalar ``*``; ``flatten``/``unflatten`` round-trip exactly. Every array is
+    read-only. The constructor copies its arrays, which come from outside; a
+    result the class computes itself is kept as computed, with no second copy.
     """
 
     __slots__ = ("_names", "_arrays")
 
     def __init__(self, segments):
+        self._keep((name, as_f64(arr).copy()) for name, arr in segments)
+
+    def _keep(self, segments):
         names = []
         arrays = {}
-        for name, arr in segments:
+        for name, a in segments:
             if name in arrays:
                 raise ConfigError(f"duplicate parameter segment {name!r}")
-            a = as_f64(arr).copy()
             a.setflags(write=False)
             names.append(name)
             arrays[name] = a
         self._names = tuple(names)
         self._arrays = arrays
+
+    @classmethod
+    def _adopt(cls, segments):
+        """A vector over arrays just allocated for it: kept, not copied."""
+        pv = cls.__new__(cls)
+        pv._keep(segments)
+        return pv
 
     @property
     def names(self):
@@ -65,22 +76,31 @@ class ParamVector:
         if self.layout() != other.layout():
             raise ShapeError("parameter vectors have different layouts")
 
+    def map(self, fn, *others):
+        """The vector of ``fn(segment, *the same segment of each of others)``.
+
+        ``fn`` must return an array it has just allocated: the result keeps
+        it without a copy and makes it read-only."""
+        for other in others:
+            self._check_layout(other)
+        return ParamVector._adopt(
+            (n, fn(self._arrays[n], *(o._arrays[n] for o in others))) for n in self._names
+        )
+
     def __add__(self, other):
-        self._check_layout(other)
-        return ParamVector((n, self._arrays[n] + other._arrays[n]) for n in self._names)
+        return self.map(np.add, other)
 
     def __sub__(self, other):
-        self._check_layout(other)
-        return ParamVector((n, self._arrays[n] - other._arrays[n]) for n in self._names)
+        return self.map(np.subtract, other)
 
     def __mul__(self, c):
         c = float(c)
-        return ParamVector((n, self._arrays[n] * c) for n in self._names)
+        return self.map(lambda a: a * c)
 
     __rmul__ = __mul__
 
     def zeros_like(self):
-        return ParamVector((n, np.zeros_like(a)) for n, a in self.items())
+        return self.map(np.zeros_like)
 
     def flatten(self) -> np.ndarray:
         if not self._names:
@@ -196,23 +216,30 @@ def _as_rows(x, input_dim: int):
     raise ShapeError(f"input must be 1-D or 2-D, got shape {x.shape}")
 
 
-def _forward(model: ModelState, rows, tape=None):
-    """The MLP layer loop over a row batch; appends (layer input,
-    pre-activation) per layer to ``tape`` when one is given. Non-finite
-    logits raise ``NumericError``, with no numpy overflow warning before it."""
+def _forward(model: ModelState, rows, dm=None):
+    """The MLP layer loop over a row batch. With ``dm``, each layer's (input,
+    pre-activation) goes on ``dm.tape``, the hidden layers' arrays in ``dm``'s
+    own buffers; the logits are always a fresh array. Non-finite logits raise
+    ``NumericError``, with no numpy overflow warning before it."""
     use_relu = model.spec.activation == "relu"
+    params = model.params
+    n = rows.shape[0]
     z = rows
     last = len(model.spec.layer_widths) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(last + 1):
-            # only x and z name arrays, so without a tape each layer's input is
-            # freed as soon as the next layer starts
             x = z
-            z = x @ model.params[f"w{i}"] + model.params[f"b{i}"]
-            if tape is not None:
-                tape.append((x, z))
-            if i < last:
-                z = np.maximum(z, 0.0) if use_relu else np.tanh(z)
+            w = params[f"w{i}"]
+            hidden = i < last
+            z = np.matmul(x, w, out=dm._buffer(("pre", i), n, w.shape[1])
+                          if dm is not None and hidden else None)
+            z += params[f"b{i}"]
+            if dm is not None:
+                dm.tape.append((x, z))
+            if hidden:
+                # without a tape the activation overwrites the pre-activation
+                act = z if dm is None else dm._buffer(("act", i), n, w.shape[1])
+                z = np.maximum(z, 0.0, out=act) if use_relu else np.tanh(z, out=act)
     if not np.isfinite(z).all():
         raise NumericError("forward pass produced non-finite logits")
     return z
@@ -235,12 +262,23 @@ class DiffModel:
     """One recorded forward pass of a model, for ``backward``.
 
     ``logits`` keeps every layer's input and pre-activation; a second call
-    replaces the record.
+    replaces the record. The hidden layers' arrays and ``backward``'s chain
+    live in buffers the DiffModel owns, sized by the largest batch it has
+    seen, so repeated passes (the steps of one attack) allocate them once. A
+    second call overwrites them: read the tape before the next ``logits``.
     """
 
     def __init__(self, model: ModelState):
         self.model = model
         self.tape = []
+        self._buffers = {}
+
+    def _buffer(self, key, n, width, dtype=np.float64):
+        """The first ``n`` rows of the owned (rows, width) array ``key``."""
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape[0] < n:
+            buf = self._buffers[key] = np.empty((n, width), dtype)
+        return buf[:n]
 
     def logits(self, x) -> np.ndarray:
         x = as_f64(x)
@@ -250,7 +288,7 @@ class DiffModel:
                 f"got {x.shape}"
             )
         self.tape = []
-        return _forward(self.model, x, self.tape)
+        return _forward(self.model, x, self)
 
 
 def backward(dm: DiffModel, dlogits, inputs=False):
@@ -259,24 +297,32 @@ def backward(dm: DiffModel, dlogits, inputs=False):
 
     Returns the gradient with respect to every parameter as a ParamVector
     or, with ``inputs``, the gradient with respect to the recorded input
-    rows, the parameters held fixed.
+    rows, the parameters held fixed. Either comes back in fresh arrays; the
+    hidden layers' gradients reuse ``dm``'s buffers.
     """
     params = dm.model.params
     use_relu = dm.model.spec.activation == "relu"
     grads = {}
     g = dlogits
+    n = g.shape[0]
     for i in reversed(range(len(dm.tape))):
         x, _ = dm.tape[i]
+        w = params[f"w{i}"]
         if not inputs:
             grads[f"w{i}"] = x.T @ g
             grads[f"b{i}"] = g.sum(axis=0)
             if i == 0:
-                return ParamVector((name, grads[name]) for name in params.names)
-        g = g @ params[f"w{i}"].T
-        if i > 0:
-            # x is this layer's input: the previous layer's activation
-            pre = dm.tape[i - 1][1]
-            g = g * (pre > 0.0) if use_relu else g * (1.0 - x * x)
+                return ParamVector._adopt((name, grads[name]) for name in params.names)
+        if i == 0:
+            return g @ w.T
+        g = np.matmul(g, w.T, out=dm._buffer(("grad", i), n, w.shape[0]))
+        # x is this layer's input: the previous layer's activation
+        if use_relu:
+            g *= np.greater(dm.tape[i - 1][1], 0.0,
+                            out=dm._buffer(("mask", i), n, w.shape[0], bool))
+        else:
+            slope = np.multiply(x, x, out=dm._buffer(("slope", i), n, w.shape[0]))
+            g *= np.subtract(1.0, slope, out=slope)
     return g
 
 

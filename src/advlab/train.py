@@ -138,10 +138,28 @@ class Checkpoint:
     metrics_row: MetricsRecord
 
 
+def _descend(params: ParamVector, direction: ParamVector, size) -> ParamVector:
+    """``params - direction * size``, each segment computed into one fresh array."""
+    size = float(size)
+
+    def segment(p, d):
+        step = d * size
+        return np.subtract(p, step, out=step)
+
+    return params.map(segment, direction)
+
+
 def sgd_step(params: ParamVector, grad: ParamVector, lr, momentum, momentum_buffer):
     """Classical momentum update: v <- m*v + g, theta <- theta - lr*v."""
-    v = momentum_buffer * momentum + grad
-    return params - v * lr, v
+    momentum = float(momentum)
+
+    def velocity(b, g):
+        v = b * momentum
+        v += g
+        return v
+
+    v = momentum_buffer.map(velocity, grad)
+    return _descend(params, v, lr), v
 
 
 def _decay(config: TrainConfig, epoch) -> float:
@@ -228,11 +246,11 @@ def edac_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state:
     g_ac, ac_before = grad_certainty_frozen(model, adv0.perturbed)
     flat = g_ac.flatten()
     # numpy's pairwise sum: a BLAS dot splits the sum by thread count
-    g_sq = float((flat * flat).sum())
+    g_sq = float(np.multiply(flat, flat, out=flat).sum())
     capped = g_sq > 0.0 and ac_before / g_sq < eta
     if capped:
         eta = ac_before / g_sq
-    half_params = model.params - g_ac * eta
+    half_params = _descend(model.params, g_ac, eta)
     if not half_params.allfinite():
         raise NumericError("non-finite parameters after the certainty half step")
     new_model, new_opt, report = _robust_step(ModelState(model.spec, half_params), batch,
@@ -272,7 +290,7 @@ def certainty_descent_probe(model: ModelState, batch: Batch, attack_config: Atta
     eta = float(eta0)
     ac1 = float("nan")
     for _ in range(max_halvings + 1):
-        half_params = model.params - g * eta
+        half_params = _descend(model.params, g, eta)
         if half_params.allfinite():
             half_model = ModelState(model.spec, half_params)
             ac1 = certainty_value(half_model, attacked(half_model).perturbed)
@@ -319,6 +337,17 @@ def evaluate_epoch(model: ModelState, train_set: Dataset, test_set: Dataset,
         robust_acc_train=rob_tr, robust_acc_test=rob_te,
         ac_train=ac_tr, ac_test=ac_te, wall_time_s=wall_time_s,
         capped_batches=capped_batches,
+    )
+
+
+def log_epoch(row: MetricsRecord, batches, label=""):
+    """The ``-v`` line of one epoch's history row; ``label`` names its sweep row."""
+    log.info(
+        "epoch %d [%s]%s lr=%g clean=%.4f/%.4f robust=%.4f/%.4f ac=%.4f/%.4f "
+        "capped=%d/%d (%.2fs)",
+        row.epoch, row.method, label, row.lr, row.clean_acc_train, row.clean_acc_test,
+        row.robust_acc_train, row.robust_acc_test, row.ac_train, row.ac_test,
+        row.capped_batches, batches, row.wall_time_s,
     )
 
 
@@ -383,13 +412,7 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
         last = Checkpoint(model, epoch, momentum, _rng_record(config, epoch + 1), row)
         if best is None or row.robust_acc_test > best.metrics_row.robust_acc_test:
             best = last
-        log.info(
-            "epoch %d [%s] lr=%g clean=%.4f/%.4f robust=%.4f/%.4f ac=%.4f/%.4f "
-            "capped=%d/%d (%.2fs)",
-            epoch, config.method, row.lr, row.clean_acc_train, row.clean_acc_test,
-            row.robust_acc_train, row.robust_acc_test, row.ac_train, row.ac_test,
-            row.capped_batches, nb, row.wall_time_s,
-        )
+        log_epoch(row, nb)
 
     from .workers import Workers  # imported here: not on the command-line start-up path
 

@@ -38,6 +38,8 @@ from advlab.train import (
 )
 from conftest import model_from_arrays
 
+pytestmark = pytest.mark.slow
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SEEDS = (0, 1, 2, 3, 4)
 

@@ -5,15 +5,17 @@ from hypothesis import given, settings, strategies as st
 from advlab.attack import (
     AdversarialBatch,
     AttackConfig,
+    draw_start,
     fgsm,
     generate_batch,
     perturbation_norm,
     pgd,
 )
-from advlab.autodiff import ce_rows_value
-from advlab.data import Batch
+from advlab.autodiff import ce_rows_grad, ce_rows_value
+from advlab.data import Batch, make_gaussian_mixture
 from advlab.errors import ConfigError, NumericError, ShapeError
 from advlab.netcore import forward_logits, init_model, ModelSpec
+from advlab.train import TrainConfig, train_run
 from conftest import model_from_arrays
 
 
@@ -246,3 +248,104 @@ class TestGenerateBatch:
         cfg = AttackConfig(norm="linf", epsilon=0.2, kind="fgsm")
         adv = generate_batch(model, batch, cfg)
         assert np.array_equal(adv.perturbed, fgsm(model, batch.inputs, batch.labels, cfg))
+
+
+def reference_input_grad(model, rows, labels):
+    """The summed cross-entropy's input gradient by a plain layer loop in
+    which every intermediate is a fresh array."""
+    layers = [(model.params[f"w{i}"], model.params[f"b{i}"])
+              for i in range(len(model.spec.layer_widths))]
+    relu = model.spec.activation == "relu"
+    tape = []
+    z = rows
+    for i, (w, b) in enumerate(layers):
+        x = z
+        z = x @ w + b
+        tape.append((x, z))
+        if i < len(layers) - 1:
+            z = np.maximum(z, 0.0) if relu else np.tanh(z)
+    g = ce_rows_grad(z, labels, 1.0)
+    for i in reversed(range(len(layers))):
+        g = g @ layers[i][0].T
+        if i > 0:
+            x, pre = tape[i][0], tape[i - 1][1]
+            g = g * (pre > 0.0) if relu else g * (1.0 - x * x)
+    return g
+
+
+def reference_pgd(model, x, y, config, start):
+    """Projected gradient ascent as a plain loop with fresh arrays: the
+    operations ``pgd`` performs in place, in the same order."""
+    def clamp(v):
+        return v if config.domain_clamp is None else np.clip(v, *config.domain_clamp)
+
+    eps = config.epsilon
+    delta = np.zeros_like(x) if start is None else start
+    for _ in range(config.steps):
+        grad = reference_input_grad(model, clamp(x + delta), y)
+        if config.norm == "linf":
+            step = config.step_size * np.sign(grad)
+        else:
+            norms = np.sqrt((grad * grad).sum(axis=-1, keepdims=True))
+            unit = np.zeros_like(grad)
+            np.divide(grad, norms, out=unit, where=norms > 0.0)
+            step = config.step_size * unit
+        delta = delta + step
+        if config.norm == "linf":
+            delta = np.clip(delta, -eps, eps)
+        else:
+            norms = np.sqrt((delta * delta).sum(axis=-1, keepdims=True))
+            factor = np.ones_like(norms)
+            np.divide(eps, norms, out=factor, where=norms > eps)
+            delta = delta * factor
+    return clamp(x + delta)
+
+
+@pytest.fixture(scope="module")
+def trained_models():
+    """16-256-256-4 relu and tanh models after one epoch of adversarial training."""
+    data = (make_gaussian_mixture(4, 16, 64, 3.0, 1.0, seed=8),
+            make_gaussian_mixture(4, 16, 16, 3.0, 1.0, seed=9))
+    atk = linf(0.15, 0.0375, 3)
+    cfg = TrainConfig(epochs=1, batch_size=64, lr=0.1, train_attack=atk, eval_attack=atk)
+    return [train_run(cfg, data, ModelSpec(16, (256, 256, 4), act, 0))[0].model
+            for act in ("relu", "tanh")]
+
+
+class TestPgdMatchesPlainLoop:
+    """``pgd`` reuses its arrays and a DiffModel's buffers across steps; its
+    output equals the plain loop's bit for bit. The row counts run in one
+    sequence, largest batch in the middle, so that a stale buffer would show."""
+
+    def test_bitwise_on_trained_weights(self, trained_models):
+        rng = np.random.default_rng(3)
+        cases = 0
+        for model in trained_models:
+            for n in (1, 16, 17, 64, 256, 17, 1):
+                x = rng.uniform(-1.0, 1.0, size=(n, 16))
+                y = rng.integers(0, 4, size=n)
+                for norm in ("linf", "l2"):
+                    for random_start in (False, True):
+                        for clamp in (None, (-1.0, 1.0)):
+                            cfg = AttackConfig(norm=norm, epsilon=0.3, step_size=0.1,
+                                               steps=5, random_start=random_start,
+                                               domain_clamp=clamp)
+                            start = draw_start(cfg, np.random.default_rng(n), x.shape)
+                            kept = None if start is None else start.copy()
+                            want = reference_pgd(model, x, y, cfg, kept)
+                            assert np.array_equal(pgd(model, x, y, cfg, rng=n), want)
+                            assert np.array_equal(pgd(model, x, y, cfg, start=start), want)
+                            if start is not None:
+                                assert np.array_equal(start, kept)  # not updated in place
+                            cases += 1
+        assert cases == 2 * 7 * 8
+
+    def test_outputs_are_fresh_arrays(self, trained_models):
+        x = np.random.default_rng(4).uniform(-1.0, 1.0, size=(17, 16))
+        y = np.arange(17) % 4
+        cfg = linf(0.3, 0.1, 3, domain_clamp=(-1.0, 1.0))
+        first = pgd(trained_models[0], x, y, cfg)
+        kept = first.copy()
+        second = pgd(trained_models[0], x, y, cfg)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from advlab import train as train_mod
 from advlab.cli import main
 from advlab.config import load_config
 from advlab.diagnostics import robust_accuracy
-from advlab.errors import ShapeError
+from advlab.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from advlab.objective import robust_grad
 from advlab.train import load_checkpoint
 
@@ -212,6 +213,28 @@ class TestTrainCommand:
         assert "numeric failure" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize("error,code,message", [
+        (ShapeError("rows do not fit"), 2, "data error: rows do not fit"),
+        (DataFormatError("bad rows"), 2, "data error: bad rows"),
+        (ConfigError("bad knob"), 2, "config error: bad knob"),
+        (NumericError("blew up"), 3, "numeric failure: training failed during epoch 1: "
+                                     "blew up (last completed epoch: 0)"),
+    ])
+    def test_error_during_training_keeps_its_exit_code(self, quick_config, monkeypatch,
+                                                       capsys, error, code, message):
+        cfg, out = quick_config()
+        update = train_mod.apply_update
+
+        def broken(model, batch, config, opt_state):
+            if opt_state.epoch == 1:
+                raise error
+            return update(model, batch, config, opt_state)
+
+        monkeypatch.setattr(train_mod, "apply_update", broken)
+        assert main(["train", "--config", str(cfg)]) == code
+        assert capsys.readouterr().err == message + "\n"
+        assert load_checkpoint(out / "aborted.ckpt").epoch == 0
+
     @pytest.mark.parametrize("old,new", [
         ("seed = 3", "seed = 3\nedac_eta = nan"),
         ("noise_std = 0.8", "noise_std = nan"),
@@ -372,6 +395,32 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--checkpoint",
                      str(out / "last.ckpt"), "--etas", "0,0.05"]) == 2
         assert capsys.readouterr().err == "data error: rows do not fit\n"
+
+    @pytest.mark.slow
+    def test_verbose_log_names_each_computed_row_once(self, quick_config):
+        # 2000 is copied from the capped 1000 row; at two workers it may start
+        # before 1000 comes back and then be dropped, which must add no line
+        cfg, out = quick_config(**{"method = at": "method = edac"})
+        assert main(["train", "--config", str(cfg)]) == 0
+        script = ("import sys\nfrom advlab import cli, workers\n"
+                  "workers.cpu_count = lambda: int(sys.argv[1])\n"
+                  "sys.exit(cli.main(sys.argv[2:]))\n")
+        logs = []
+        for n in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", script, n, "-v", "sweep", "--config", str(cfg),
+                 "--checkpoint", str(out / "last.ckpt"), "--etas", "0,0.5,1000,2000",
+                 "--out", str(out / f"sweep{n}")],
+                capture_output=True, text=True, timeout=300, check=False,
+                env={**os.environ, "PYTHONPATH": str(SRC)})
+            assert done.returncode == 0, done.stderr
+            # the update time at the end of each line is the one timed figure
+            logs.append([re.sub(r" \([0-9.]+s\)$", "", line)
+                         for line in done.stderr.splitlines()])
+        assert logs[0] == logs[1]
+        assert [line.split(" lr=")[0] for line in logs[0]] == [
+            f"epoch 2 [edac] eta={eta}" for eta in ("0", "0.5", "1000")]
+        assert logs[0][2].endswith("capped=4/4")
 
     def test_malformed_etas_exit_2(self, quick_config):
         cfg, out = quick_config()

@@ -42,6 +42,29 @@ class TestParamVector:
         with pytest.raises(ValueError):
             pv["w0"][0] = 1.0
 
+    def test_computed_results_are_readonly(self, rng):
+        a = ParamVector([("w0", rng.normal(size=(2, 3))), ("b0", rng.normal(size=3))])
+        b = ParamVector([("w0", rng.normal(size=(2, 3))), ("b0", rng.normal(size=3))])
+        for result in (a + b, a - b, a * 0.5, 0.5 * a, a.zeros_like(),
+                       a.map(lambda s, t: s * t, b)):
+            for _, arr in result.items():
+                assert not arr.flags.writeable
+                assert not any(np.shares_memory(arr, src) for _, src in (*a.items(), *b.items()))
+
+    def test_external_arrays_are_copied(self, rng):
+        w = rng.normal(size=(2, 3))
+        pv = ParamVector([("w0", w)])
+        flat = pv.flatten()
+        again = pv.unflatten(flat)
+        w[0, 0] = flat[1] = 99.0
+        assert w.flags.writeable and flat.flags.writeable
+        assert pv["w0"][0, 0] != 99.0 and again["w0"][0, 1] != 99.0
+
+    def test_map_checks_layouts(self):
+        a = ParamVector([("w0", np.zeros(2))])
+        with pytest.raises(ShapeError):
+            a.map(np.add, ParamVector([("b0", np.zeros(2))]))
+
 
 class TestModelSpec:
     def test_rejects_zero_width(self):
@@ -227,6 +250,27 @@ class TestGradients:
         assert np.array_equal(dm.tape[0][0], x)
         assert np.array_equal(dm.tape[1][0], np.tanh(dm.tape[0][1]))
         assert np.array_equal(dm.tape[2][1], logits)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_reused_diff_model_matches_fresh_ones(self, rng, activation):
+        # buffers sized by the largest batch serve smaller ones; nothing a
+        # pass hands out is overwritten by the next pass
+        model = init_model(ModelSpec(5, (32, 32, 3), activation, 2))
+        dm = DiffModel(model)
+        handed_out = []
+        for n in (64, 17, 1, 100, 17):
+            x = rng.normal(size=(n, 5))
+            y = rng.integers(0, 3, size=n)
+            fresh = DiffModel(model)
+            d = ce_rows_grad(fresh.logits(x), y, 1.0 / n)
+            want, want_x = backward(fresh, d), backward(fresh, d, inputs=True)
+            logits = dm.logits(x)
+            got, got_x = backward(dm, d), backward(dm, d, inputs=True)
+            assert np.array_equal(logits, forward_logits(model, x))
+            assert got.equals(want) and np.array_equal(got_x, want_x)
+            assert all(not arr.flags.writeable for _, arr in got.items())
+            handed_out += [(a, a.copy()) for a in (logits, got_x, *(a for _, a in got.items()))]
+        assert all(np.array_equal(a, copy) for a, copy in handed_out)
 
     def test_grad_input_zero_when_loss_ignores_x(self):
         model = init_model(ModelSpec(3, (4, 2), "relu", 0))

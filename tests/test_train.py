@@ -83,6 +83,18 @@ class TestSgdStep:
         assert buf["w0"][0] == pytest.approx(1.9)
         assert p["w0"][0] == pytest.approx(0.71)
 
+    def test_matches_plain_numpy_bitwise(self, rng):
+        shapes = {"w0": (16, 256), "b0": (256,), "w1": (256, 4), "b1": (4,)}
+        p, g, buf = (ParamVector((k, rng.normal(size=s)) for k, s in shapes.items())
+                     for _ in range(3))
+        new, v = sgd_step(p, g, lr=0.1, momentum=0.9, momentum_buffer=buf)
+        for name in shapes:
+            want_v = buf[name] * 0.9 + g[name]
+            assert np.array_equal(v[name], want_v)
+            assert np.array_equal(new[name], p[name] - want_v * 0.1)
+            assert not (v[name].flags.writeable or new[name].flags.writeable)
+            assert not np.shares_memory(v[name], new[name])
+
 
 class TestLrSchedule:
     def test_before_first_decay(self):
@@ -285,6 +297,7 @@ class TestUpdates:
         assert m2.params.equals(want)
         assert o2.momentum.equals(v)
 
+    @pytest.mark.slow
     def test_capped_step_independent_of_blas_threads(self):
         # the Polyak norm of the 71,172 benchmark-network parameters is a
         # long sum; a threaded BLAS dot splits it by thread count

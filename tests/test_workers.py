@@ -453,6 +453,7 @@ print(json.dumps({"before": before, "during": sorted(seen), "after": tasks(),
 """
 
 
+@pytest.mark.slow
 def test_no_thread_starts_or_ends_in_the_parent(tmp_path):
     """At one BLAS thread, the benchmark's setting. At more, OpenBLAS's own
     fork handler stops its worker threads in the parent (module docstring)."""
@@ -491,6 +492,7 @@ print(json.dumps({"codes": codes, "forks": len(forks), "cpus": len(os.sched_geta
 """
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs an affinity mask")
 def test_one_cpu_forks_nothing_and_writes_the_same_bytes(tmp_path):
     runs = {}

@@ -21,6 +21,7 @@ from .diagnostics import (
     attacked_stats,
     clean_accuracy,
     compute_heatmap,
+    heatmap_from_confusion,
     label_level_variance,
     overfitting_gap,
     robust_accuracy,
@@ -35,7 +36,15 @@ from .errors import (
     ShapeError,
     TrainingAborted,
 )
-from .train import SPLITS, Checkpoint, eval_rng, load_checkpoint, save_checkpoint, train_run
+from .train import (
+    SPLITS,
+    Checkpoint,
+    eval_rng,
+    load_checkpoint,
+    recorded_confusion,
+    save_checkpoint,
+    train_run,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -91,14 +100,14 @@ def write_sweep_csv(path, rows) -> None:
 
 def _summary(config: ExperimentConfig, history, best: Checkpoint, last: Checkpoint,
              test_set: Dataset) -> dict:
-    """The run's figures. An ``[eval.*]`` attack equal to ``[train.eval_attack]``
-    reports the checkpoints' history rows, which ``train_run`` measured with
-    that attack and the same seeds; every other attack makes one pass per
-    checkpoint, one in all when the best checkpoint is the last."""
+    """The run's figures. An ``[eval.*]`` attack that a checkpoint recorded
+    on this test split (``recorded_confusion``) reports its history row;
+    every other attack makes one pass per checkpoint, one in all when the
+    best checkpoint is the last."""
     best_r, last_r, gap = overfitting_gap(history)
 
     def robust_acc(ckpt: Checkpoint, atk) -> float:
-        if atk == config.train.eval_attack:
+        if recorded_confusion(ckpt, 1, test_set, atk) is not None:
             return ckpt.metrics_row.robust_acc_test
         return robust_accuracy(ckpt.model, test_set, atk,
                                eval_rng(atk, config.train.seed, ckpt.epoch, 1))
@@ -183,21 +192,30 @@ def _load_checkpoint_for(config: ExperimentConfig, path, train_set: Dataset) -> 
 
 
 def cmd_eval(args) -> int:
+    """Clean accuracy and each attack's figures on the test split. What the
+    checkpoint recorded on this split (``recorded_confusion``) is read from
+    its history row; the rest is one pass each."""
     config = load_config(args.config).with_overrides(out_dir=args.out)
     train_set, test_set = config.build_datasets()
     ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
     attacks = dict(config.eval_attacks) or {"eval": config.train.eval_attack}
+    row = ckpt.metrics_row
     report = {
         "checkpoint": str(args.checkpoint),
         "epoch": ckpt.epoch,
-        "clean_acc_test": clean_accuracy(ckpt.model, test_set),
+        "clean_acc_test": (row.clean_acc_test
+                           if recorded_confusion(ckpt, 1, test_set) is not None
+                           else clean_accuracy(ckpt.model, test_set)),
         "attacks": {},
     }
     print(f"checkpoint epoch {ckpt.epoch}: clean accuracy {report['clean_acc_test']:.4f}")
     seed = ckpt.rng_state["base_seed"]
     for name, atk in sorted(attacks.items()):
-        racc, ac, _ = attacked_stats(ckpt.model, test_set, atk,
-                                     eval_rng(atk, seed, ckpt.epoch, 1))
+        if recorded_confusion(ckpt, 1, test_set, atk) is not None:
+            racc, ac = row.robust_acc_test, row.ac_test
+        else:
+            racc, ac, _ = attacked_stats(ckpt.model, test_set, atk,
+                                         eval_rng(atk, seed, ckpt.epoch, 1))
         report["attacks"][name] = {"robust_acc": racc, "ac": ac}
         print(f"  {name}: robust accuracy {racc:.4f}, certainty {ac:.4f}")
     out_dir = Path(config.out_dir)
@@ -209,13 +227,21 @@ def cmd_eval(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    """The heatmap and label-level variance of ``[train.eval_attack]`` on one
+    split: the checkpoint's recorded counts when they match
+    (``recorded_confusion``), else one pass."""
     config = load_config(args.config).with_overrides(out_dir=args.out)
     train_set, test_set = config.build_datasets()
     ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
     split = SPLITS.index(args.split)
+    dataset = (train_set, test_set)[split]
     atk = config.train.eval_attack
-    rng = eval_rng(atk, ckpt.rng_state["base_seed"], ckpt.epoch, split)
-    hm = compute_heatmap(ckpt.model, (train_set, test_set)[split], atk, rng)
+    confusion = recorded_confusion(ckpt, split, dataset, atk)
+    if confusion is not None:
+        hm = heatmap_from_confusion(confusion)
+    else:
+        rng = eval_rng(atk, ckpt.rng_state["base_seed"], ckpt.epoch, split)
+        hm = compute_heatmap(ckpt.model, dataset, atk, rng)
     variances = label_level_variance(hm)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

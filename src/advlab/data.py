@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -59,6 +60,17 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.inputs.shape[1]
+
+    @cached_property
+    def sha256(self) -> str:
+        """Hex sha256 of the inputs' bytes (float64) then the labels' bytes
+        (int64), in native byte order; the arrays are read-only, so it is
+        computed once."""
+        import hashlib  # imported here: not on the command-line start-up path
+
+        digest = hashlib.sha256(self.inputs)
+        digest.update(self.labels)
+        return digest.hexdigest()
 
     def subset(self, idx, name=None) -> "Dataset":
         return Dataset(

@@ -136,19 +136,25 @@ def attacked_stats(model: ModelState, dataset: Dataset, attack_config: AttackCon
     caller attacks the first, a forked worker each other one. The random
     starts are drawn here first, slice by slice in order, so ``rng`` is
     consumed as by one pass in sequence. The runs' figures are folded in
-    slice order, so every result is the sequential one, bit for bit.
+    slice order, so every result is the sequential one, bit for bit. A pass
+    without a gradient step (``pgd`` with 0 steps) is one forward per slice,
+    cheaper than a fork, so it runs whole in the caller.
     """
     from .workers import Workers  # imported here: not on the command-line start-up path
 
     rng = _ensure_rng(rng)
     pieces = [(piece, draw_start(attack_config, rng, piece.inputs.shape))
               for piece in slices(dataset)]
-    with Workers() as workers:
-        runs = _contiguous_runs(pieces, workers.count)
-        started = [workers.start(_attack_run, model, run, attack_config) for run in runs[1:]]
-        outcomes = _attack_run(model, runs[0], attack_config)
-        for call in started:
-            outcomes += call.result()
+    if attack_config.kind == "pgd" and attack_config.steps == 0:
+        outcomes = _attack_run(model, pieces, attack_config)
+    else:
+        with Workers() as workers:
+            runs = _contiguous_runs(pieces, workers.count)
+            started = [workers.start(_attack_run, model, run, attack_config)
+                       for run in runs[1:]]
+            outcomes = _attack_run(model, runs[0], attack_config)
+            for call in started:
+                outcomes += call.result()
     correct = 0
     spread_sum = 0.0  # added in order: sum() of floats compensates since Python 3.12
     for c, spread, _ in outcomes:
@@ -196,9 +202,28 @@ def dataset_certainty(model: ModelState, dataset: Dataset, attack_config: Attack
 
 def split_metrics(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
                   rng=None):
-    """(clean accuracy, robust accuracy, certainty) with a single attack pass."""
-    robust, spread, _ = attacked_stats(model, dataset, attack_config, rng)
-    return clean_accuracy(model, dataset), robust, spread
+    """(clean accuracy, robust accuracy, certainty, confusion counts) with a
+    single attack pass; see ``confusion_counts``."""
+    robust, spread, preds = attacked_stats(model, dataset, attack_config, rng)
+    confusion = confusion_counts(dataset.labels, preds, model.spec.num_classes)
+    return clean_accuracy(model, dataset), robust, spread, confusion
+
+
+def confusion_counts(labels, preds, num_classes) -> np.ndarray:
+    """K x K int64 counts: entry (j, k) is how many examples of true class j
+    were predicted as k."""
+    k = num_classes
+    return np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
+
+
+def heatmap_from_confusion(confusion) -> Heatmap:
+    """The heatmap of K x K confusion counts: each filled row divided by its
+    class's count."""
+    counts = confusion.sum(axis=1)
+    matrix = confusion.astype(np.float64)
+    filled = counts > 0
+    matrix[filled] /= counts[filled, None]
+    return Heatmap(matrix, counts)
 
 
 def compute_heatmap(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
@@ -211,12 +236,7 @@ def compute_heatmap(model: ModelState, dataset: Dataset, attack_config: AttackCo
             f"dataset has {dataset.num_classes} classes but model only {k}"
         )
     _, _, preds = attacked_stats(model, dataset, attack_config, rng)
-    counts = np.bincount(dataset.labels, minlength=k).astype(np.int64)
-    matrix = np.zeros((k, k))
-    np.add.at(matrix, (dataset.labels, preds), 1.0)
-    filled = counts > 0
-    matrix[filled] /= counts[filled, None]
-    return Heatmap(matrix, counts)
+    return heatmap_from_confusion(confusion_counts(dataset.labels, preds, k))
 
 
 def label_level_variance(heatmap: Heatmap) -> np.ndarray:

@@ -130,12 +130,54 @@ class StepReport:
 
 
 @dataclass(frozen=True)
+class Measured:
+    """What the evaluation attack behind a checkpoint's history row saw: the
+    attack and, per split in ``SPLITS`` order, the sha256 of the split's data
+    (``Dataset.sha256``) and the K x K confusion counts of its attacked
+    inputs (``diagnostics.confusion_counts``)."""
+
+    attack: AttackConfig
+    sha256: tuple
+    confusion: tuple
+
+
+@dataclass(frozen=True)
 class Checkpoint:
+    """The weights after epoch ``epoch`` with their history row and, when
+    ``train_run`` made them, the record of that row's evaluation attack."""
+
     model: ModelState
     epoch: int
     optimizer_momentum: ParamVector
     rng_state: dict
     metrics_row: MetricsRecord
+    measured: Optional[Measured] = None
+
+
+def recorded_confusion(checkpoint: Checkpoint, split, dataset: Dataset,
+                       attack: Optional[AttackConfig] = None):
+    """The confusion counts that training recorded for split ``split`` (an
+    index into ``SPLITS``) of the checkpoint, or None.
+
+    They are returned when ``dataset`` has the sha256 of the split that
+    training attacked and ``attack`` (if given) equals the attack it used.
+    Then one pass of ``attack`` over ``dataset``, seeded by ``eval_rng``,
+    would repeat the checkpoint's history row bit for bit, its clean
+    accuracy included; with ``attack`` None only the data must match. On
+    None the caller makes the pass. Counts whose row sums are not the
+    split's class counts raise ``CheckpointError``.
+    """
+    measured = checkpoint.measured
+    if measured is None or measured.sha256[split] != dataset.sha256:
+        return None
+    if attack is not None and attack != measured.attack:
+        return None
+    confusion = measured.confusion[split]
+    if not np.array_equal(confusion.sum(axis=1),
+                          np.bincount(dataset.labels, minlength=len(confusion))):
+        raise CheckpointError(f"recorded {SPLITS[split]} counts do not give the split's "
+                              "class counts")
+    return confusion
 
 
 def _descend(params: ParamVector, direction: ParamVector, size) -> ParamVector:
@@ -324,20 +366,22 @@ def eval_rng(attack: AttackConfig, base_seed, epoch, split):
 
 
 def evaluate_epoch(model: ModelState, train_set: Dataset, test_set: Dataset,
-                   config: TrainConfig, epoch, wall_time_s=0.0,
-                   capped_batches=0) -> MetricsRecord:
+                   config: TrainConfig, epoch, wall_time_s=0.0, capped_batches=0):
+    """The epoch's history row and the confusion counts of its two attack
+    passes, train split first."""
     atk = config.eval_attack
-    clean_tr, rob_tr, ac_tr = split_metrics(model, train_set, atk,
-                                            eval_rng(atk, config.seed, epoch, 0))
-    clean_te, rob_te, ac_te = split_metrics(model, test_set, atk,
-                                            eval_rng(atk, config.seed, epoch, 1))
-    return MetricsRecord(
+    clean_tr, rob_tr, ac_tr, conf_tr = split_metrics(model, train_set, atk,
+                                                     eval_rng(atk, config.seed, epoch, 0))
+    clean_te, rob_te, ac_te, conf_te = split_metrics(model, test_set, atk,
+                                                     eval_rng(atk, config.seed, epoch, 1))
+    row = MetricsRecord(
         epoch=epoch, method=config.method, lr=lr_at_epoch(config, epoch),
         clean_acc_train=clean_tr, clean_acc_test=clean_te,
         robust_acc_train=rob_tr, robust_acc_test=rob_te,
         ac_train=ac_tr, ac_test=ac_te, wall_time_s=wall_time_s,
         capped_batches=capped_batches,
     )
+    return row, (conf_tr, conf_te)
 
 
 def log_epoch(row: MetricsRecord, batches, label=""):
@@ -366,8 +410,10 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     (``Workers``); the last epoch's runs in the caller, where its attack
     passes split over the CPUs. The best checkpoint is the earliest one
     maximising held-out robust accuracy. Each history row counts the epoch's
-    batches whose half step the Polyak cap cut (``capped_batches``). With
-    ``resume_from``, training
+    batches whose half step the Polyak cap cut (``capped_batches``). Each
+    checkpoint keeps its evaluation's confusion counts (``Measured``), so that
+    a later pass of the same attack over the same data can be read instead
+    of made (``recorded_confusion``). With ``resume_from``, training
     continues after that checkpoint's epoch and reproduces the uninterrupted
     run bitwise; the resumed checkpoint starts as the incumbent best. Its
     ``base_seed`` must equal ``config.seed``, or the two halves would come from
@@ -405,11 +451,14 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     def collect(epoch, model, momentum, evaluation):
         nonlocal last, best
         try:
-            row = evaluation()
+            row, confusion = evaluation()
         except (AdvlabError, ArithmeticError) as exc:
             raise aborted(epoch, exc) from exc
         history.append(row)
-        last = Checkpoint(model, epoch, momentum, _rng_record(config, epoch + 1), row)
+        measured = Measured(config.eval_attack, (train_set.sha256, test_set.sha256),
+                            confusion)
+        last = Checkpoint(model, epoch, momentum, _rng_record(config, epoch + 1), row,
+                          measured)
         if best is None or row.robust_acc_test > best.metrics_row.robust_acc_test:
             best = last
         log_epoch(row, nb)
@@ -452,6 +501,55 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
 CKPT_MAGIC = b"ADVCKPT1"
 
 
+def _attack_record(attack: AttackConfig) -> dict:
+    clamp = attack.domain_clamp
+    return {"norm": attack.norm, "epsilon": float(attack.epsilon),
+            "step_size": float(attack.step_size), "steps": int(attack.steps),
+            "kind": attack.kind, "random_start": bool(attack.random_start),
+            "domain_clamp": None if clamp is None else [float(v) for v in clamp]}
+
+
+def _measured_record(measured: Measured) -> dict:
+    record = {"attack": _attack_record(measured.attack)}
+    for name, digest, confusion in zip(SPLITS, measured.sha256, measured.confusion):
+        record[name] = {"sha256": digest, "confusion": confusion.tolist()}
+    return record
+
+
+def _measured_from(record, num_classes, metrics: MetricsRecord) -> Measured:
+    """The ``measured`` header key read back; ValueError or TypeError unless
+    it is what ``_measured_record`` writes, with counts that give the
+    metrics row's robust accuracies."""
+    if not isinstance(record, dict) or set(record) != {"attack", *SPLITS}:
+        raise ValueError(f"measured must hold exactly attack, {', '.join(SPLITS)}")
+    attack_rec = record["attack"]
+    clamp = attack_rec["domain_clamp"]
+    attack = AttackConfig(**{**attack_rec, "domain_clamp": tuple(clamp)
+                             if isinstance(clamp, list) else clamp})
+    if (json.dumps(_attack_record(attack), sort_keys=True, allow_nan=False)
+            != json.dumps(attack_rec, sort_keys=True, allow_nan=False)):
+        raise ValueError(f"measured attack {attack_rec} has a field of the wrong type")
+    digests, confusions = [], []
+    for name in SPLITS:
+        split = record[name]
+        if not isinstance(split, dict) or set(split) != {"sha256", "confusion"}:
+            raise ValueError(f"measured {name} must hold exactly sha256, confusion")
+        rows = split["confusion"]
+        if not (isinstance(split["sha256"], str) and isinstance(rows, list)
+                and len(rows) == num_classes
+                and all(isinstance(r, list) and len(r) == num_classes for r in rows)
+                and all(type(v) is int and v >= 0 for r in rows for v in r)):
+            raise ValueError(f"measured {name}: not a sha256 string and a {num_classes} x "
+                             f"{num_classes} matrix of non-negative integers")
+        total = sum(map(sum, rows))
+        robust = getattr(metrics, f"robust_acc_{name}")
+        if total == 0 or sum(rows[j][j] for j in range(num_classes)) / total != robust:
+            raise ValueError(f"measured {name} counts do not give robust_acc_{name} {robust}")
+        digests.append(split["sha256"])
+        confusions.append(np.array(rows, dtype=np.int64))
+    return Measured(attack, tuple(digests), tuple(confusions))
+
+
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     spec = checkpoint.model.spec
     header = {
@@ -467,6 +565,8 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "metrics": checkpoint.metrics_row.to_dict(),
         "segments": [[name, list(arr.shape)] for name, arr in checkpoint.model.params.items()],
     }
+    if checkpoint.measured is not None:
+        header["measured"] = _measured_record(checkpoint.measured)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     params = checkpoint.model.params.flatten().astype("<f8")
     buf = checkpoint.optimizer_momentum.flatten().astype("<f8")
@@ -508,7 +608,9 @@ def load_checkpoint(path) -> Checkpoint:
         metrics = MetricsRecord.from_dict(header["metrics"])
         epoch = int(header["epoch"])
         rng_state = {str(k): int(v) for k, v in header["rng"].items()}
-    except (AttributeError, KeyError, TypeError, ValueError, ConfigError,
+        measured = (_measured_from(header["measured"], spec.num_classes, metrics)
+                    if "measured" in header else None)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ConfigError,
             NumericError) as exc:
         raise CheckpointError(f"{path}: malformed header fields: {exc}") from exc
     count = sum(int(np.prod(shape)) for _, shape in segments)
@@ -527,4 +629,4 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: parameters do not match spec: {exc}") from exc
     if not (params.allfinite() and buf.allfinite()):
         raise CheckpointError(f"{path}: non-finite parameters or momentum")
-    return Checkpoint(model, epoch, buf, rng_state, metrics)
+    return Checkpoint(model, epoch, buf, rng_state, metrics, measured)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from advlab import workers
 from advlab.netcore import ModelSpec, ModelState, ParamVector
 
 
@@ -13,6 +14,16 @@ def model_from_arrays(input_dim, layers, activation="relu"):
         segments.append((f"w{i}", np.asarray(w, dtype=np.float64)))
         segments.append((f"b{i}", np.asarray(b, dtype=np.float64)))
     return ModelState(spec, ParamVector(segments))
+
+
+@pytest.fixture
+def worker_count(monkeypatch):
+    """Set the CPU count ``Workers`` sees; more than one needs a pinnable BLAS."""
+    def set_count(n):
+        if n > 1 and workers.blas_threads() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be pinned here")
+        monkeypatch.setattr(workers, "cpu_count", lambda: n)
+    return set_count
 
 
 @pytest.fixture

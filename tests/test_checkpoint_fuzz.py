@@ -1,0 +1,137 @@
+"""Fuzzed checkpoint headers: whatever a header holds, ``load_checkpoint``
+returns a checkpoint or raises ``CheckpointError``, and ``advlab eval`` exits
+0 or 4, never with a traceback. A mutation of the ``measured`` record that
+changes a value's JSON type, drops a key or an element, or adds one is always
+a ``CheckpointError``."""
+
+import copy
+import json
+import struct
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from advlab import workers
+from advlab.cli import main
+from advlab.errors import CheckpointError
+from advlab.train import load_checkpoint
+from test_cli import QUICK, rewrite_checkpoint
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# values at the edges of what a field's reader converts, drawn half the time
+VALUE = st.sampled_from([float("inf"), float("-inf"), float("nan"), 2 ** 64, -1, 0, 0.5,
+                         True, None, "", [], {}]) | JSON
+FUZZ = settings(max_examples=300, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """(config, checkpoint, header, temporary directory) of a two-epoch run.
+    The module runs on one CPU, so that no example forks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workers, "cpu_count", lambda: 1)
+        root = tmp_path_factory.mktemp("fuzz")
+        cfg = root / "run.ini"
+        cfg.write_text(QUICK.format(out=root / "run"))
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = root / "run" / "last.ckpt"
+        raw = ckpt.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        yield cfg, ckpt, json.loads(raw[12:12 + hlen]), root
+
+
+def paths(node, prefix=()):
+    """Every (path, value) below ``node``, containers before their items."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,), value
+        yield from paths(value, prefix + (key,))
+
+
+def mutate(header, data, root=()):
+    """A copy of ``header`` with one value at or below ``root`` replaced, or
+    one key or element below it removed or added: (copy, kind, path, old
+    value, new value)."""
+    out = copy.deepcopy(header)
+    below = dict(paths(out[root[0]], root)) if root else dict(paths(out))
+    if root:
+        below[root] = out[root[0]]
+    path = data.draw(st.sampled_from(sorted(below, key=repr)))
+    *parent_path, key = path
+    parent = out
+    for k in parent_path:
+        parent = parent[k]
+    old = parent[key]
+    kinds = ["replace"] + (["remove"] if path != root else [])
+    kinds += ["add"] if isinstance(old, (dict, list)) else []
+    kind = data.draw(st.sampled_from(kinds))
+    new = data.draw(VALUE)
+    if kind == "remove":
+        del parent[key]
+    elif kind == "add" and isinstance(old, dict):
+        name = data.draw(st.text(max_size=8))
+        assume(name not in old)
+        old[name] = new
+    elif kind == "add":
+        old.insert(data.draw(st.integers(0, len(old))), new)
+    else:
+        parent[key] = new
+    return out, kind, path, old, new
+
+
+def write(ckpt, header, dst):
+    rewrite_checkpoint(ckpt, dst, edit_header=lambda _: header)
+
+
+def eval_code(cfg, ckpt, root):
+    return main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                 "--out", str(root / "eval")])
+
+
+@FUZZ
+@given(data=st.data())
+def test_any_header_loads_or_is_a_checkpoint_error(run, data):
+    cfg, ckpt, header, root = run
+    mutated, *_ = mutate(header, data)
+    bad = root / "bad.ckpt"
+    write(ckpt, mutated, bad)
+    try:
+        load_checkpoint(bad)
+        loaded = True
+    except CheckpointError:
+        loaded = False
+    assert eval_code(cfg, bad, root) in ((0, 4) if loaded else (4,))
+
+
+def valid_clamp(path, value):
+    """A list of two floats is the one other type ``domain_clamp`` takes."""
+    return (path[-1] == "domain_clamp" and isinstance(value, list) and len(value) == 2
+            and all(type(v) is float for v in value))
+
+
+@FUZZ
+@given(data=st.data())
+def test_a_broken_measured_record_is_a_checkpoint_error(run, data):
+    cfg, ckpt, header, root = run
+    mutated, kind, path, old, new = mutate(header, data, root=("measured",))
+    if kind == "replace":
+        # a change of JSON type only; int, float and bool count as three types
+        assume(type(new) is not type(old) and not valid_clamp(path, new))
+    bad = root / "bad_measured.ckpt"
+    write(ckpt, mutated, bad)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+    assert eval_code(cfg, bad, root) == 4

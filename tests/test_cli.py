@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -11,14 +12,16 @@ import pytest
 
 from advlab import cli, gradcheck
 from advlab import train as train_mod
+from advlab.attack import AttackConfig
 from advlab.cli import main
 from advlab.config import load_config
 from advlab.diagnostics import robust_accuracy
 from advlab.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from advlab.objective import robust_grad
-from advlab.train import load_checkpoint
+from advlab.train import SPLITS, load_checkpoint
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 QUICK = """
 [dataset]
@@ -108,6 +111,26 @@ def set_field(path, value):
     return edit
 
 
+def edit_confusion(split, edit):
+    """A header edit that passes ``split``'s recorded counts through ``edit``."""
+    def apply(header):
+        rows = header["measured"][split]["confusion"]
+        header["measured"][split]["confusion"] = edit(rows)
+        return header
+    return apply
+
+
+def drop_field(*path):
+    """A header edit that deletes the field at ``path``."""
+    def edit(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return header
+    return edit
+
+
 MALFORMED = {
     "json_list_header": dict(edit_header=lambda h: [h]),
     # QUICK's w0 is 6 x 16, so the negated shape keeps the payload length
@@ -116,6 +139,37 @@ MALFORMED = {
     "nan_momentum": dict(nan_at=lambda n: n // 2),
     "nan_ac_train": dict(edit_header=set_field(("metrics", "ac_train"), float("nan"))),
     "repeated_segment_name": dict(edit_header=set_field(("segments", 1, 0), "w0")),
+    # the measured key: a wrong type, counts that are not a K x K matrix of
+    # non-negative integers, counts that disagree with the metrics row
+    "measured_list": dict(edit_header=set_field(("measured",), [])),
+    "measured_null": dict(edit_header=set_field(("measured",), None)),
+    "measured_without_train": dict(edit_header=drop_field("measured", "train")),
+    "measured_extra_key": dict(edit_header=set_field(("measured", "valid"), 1)),
+    "measured_steps_text": dict(edit_header=set_field(("measured", "attack", "steps"), "5")),
+    "measured_steps_float": dict(edit_header=set_field(("measured", "attack", "steps"), 5.0)),
+    "measured_epsilon_int": dict(edit_header=set_field(("measured", "attack", "epsilon"), 0)),
+    "measured_epsilon_nan": dict(edit_header=set_field(("measured", "attack", "epsilon"),
+                                                       float("nan"))),
+    "measured_random_start_int": dict(edit_header=set_field(
+        ("measured", "attack", "random_start"), 0)),
+    "measured_unknown_attack_field": dict(edit_header=set_field(
+        ("measured", "attack", "restarts"), 2)),
+    "measured_sha256_number": dict(edit_header=set_field(("measured", "test", "sha256"), 5)),
+    "measured_short_confusion": dict(edit_header=edit_confusion("test", lambda c: c[:-1])),
+    "measured_ragged_confusion": dict(edit_header=edit_confusion(
+        "train", lambda c: [c[0] + [0]] + c[1:])),
+    "measured_negative_count": dict(edit_header=edit_confusion(
+        "test", lambda c: [[-1] + c[0][1:]] + c[1:])),
+    "measured_float_count": dict(edit_header=edit_confusion(
+        "test", lambda c: [[float(c[0][0])] + c[0][1:]] + c[1:])),
+    "measured_bool_count": dict(edit_header=edit_confusion(
+        "train", lambda c: [[True] + c[0][1:]] + c[1:])),
+    "measured_trace_not_the_row": dict(edit_header=set_field(("metrics", "robust_acc_test"),
+                                                             0.123456)),
+    # the same trace over sum, but no longer the split's class counts
+    "measured_doubled_counts": dict(edit_header=edit_confusion(
+        "test", lambda c: [[2 * v for v in row] for row in c])),
+    "epoch_infinite": dict(edit_header=set_field(("epoch",), float("inf"))),
 }
 
 
@@ -461,17 +515,172 @@ class TestRandomStartEvaluation:
             history_column(longer_out, "robust_acc_test")[2]]
 
     def test_eval_reproduces_the_history_row(self, quick_config):
+        # without its record, so that eval attacks as it did before the record
         cfg, out = quick_config(**RANDOM_START)
         assert main(["train", "--config", str(cfg)]) == 0
         robust = history_column(out, "robust_acc_test")
         summary = json.loads((out / "summary.json").read_text())
         for name in ("best", "last"):
+            strip_measured(out / f"{name}.ckpt")
             assert main(["eval", "--config", str(cfg),
                          "--checkpoint", str(out / f"{name}.ckpt")]) == 0
             report = json.loads((out / "eval.json").read_text())
             assert report["attacks"]["pgd5"]["robust_acc"] == robust[report["epoch"]]
             assert (report["attacks"]["l2"]["robust_acc"]
                     == summary["eval_attacks"]["l2"][f"{name}_robust_acc"])
+
+
+def strip_measured(path):
+    """Rewrite a checkpoint in place without its ``measured`` key, as
+    checkpoints were written before the key existed."""
+    def drop(header):
+        header.pop("measured", None)
+        return header
+
+    rewrite_checkpoint(path, path, edit_header=drop)
+
+
+def eval_outputs(cfg, ckpt, out):
+    """``advlab eval`` and ``advlab heatmap`` on both splits of ``ckpt``:
+    {file name: bytes} of what they write to ``out``."""
+    common = ["--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out)]
+    assert main(["eval", *common]) == 0
+    for split in SPLITS:
+        assert main(["heatmap", *common, "--split", split]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The passes that eval and heatmap make, as (function, attack) in call
+    order; a clean-accuracy pass has attack None."""
+    seen = []
+
+    def spy(name):
+        fn = getattr(cli, name)
+
+        def counted(model, dataset, *rest):
+            seen.append((name, rest[0] if rest else None))
+            return fn(model, dataset, *rest)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    for name in ("attacked_stats", "compute_heatmap", "clean_accuracy"):
+        spy(name)
+    return seen
+
+
+EDAC = {"method = at": "method = edac\nedac_eta = 0.05"}
+RECORD_CASES = {
+    "at": {},
+    "at_trades": {"method = at": "method = at\nobjective = trades"},
+    "edac": EDAC,
+    "edac_trades": {"method = at": "method = edac\nedac_eta = 0.05\nobjective = trades"},
+    "edac_reg_trades": {"method = at": "method = edac_reg\nobjective = trades"},
+    "edac_reg": {"method = at": "method = edac_reg"},
+    # random starts on [train.eval_attack], [eval.pgd5] (equal to it) and [eval.l2]
+    "random_start_tanh": {**RANDOM_START, **EDAC, "activation = relu": "activation = tanh"},
+}
+
+
+class TestRecordedEvaluation:
+    """A checkpoint's ``measured`` record stands in for the passes of
+    ``advlab eval`` and ``advlab heatmap`` that would repeat its history
+    row, with the same bytes out; anything else is attacked as before."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("case", sorted(RECORD_CASES))
+    def test_record_writes_the_bytes_of_the_passes(self, quick_config, passes,
+                                                   worker_count, case, n):
+        worker_count(n)
+        cfg, out = quick_config(**RECORD_CASES[case])
+        assert main(["train", "--config", str(cfg)]) == 0
+        config = load_config(cfg)
+        other_attacks = [atk for _, atk in sorted(config.eval_attacks.items())
+                         if atk != config.train.eval_attack]
+        assert len(other_attacks) < len(config.eval_attacks)
+        for name in ("best", "last"):
+            ckpt = out / f"{name}.ckpt"
+            passes.clear()
+            recorded = eval_outputs(cfg, ckpt, out / f"recorded_{name}")
+            assert passes == [("attacked_stats", atk) for atk in other_attacks]
+            strip_measured(ckpt)
+            passes.clear()
+            attacked = eval_outputs(cfg, ckpt, out / f"attacked_{name}")
+            assert passes == [("clean_accuracy", None),
+                              *(("attacked_stats", atk)
+                                for _, atk in sorted(config.eval_attacks.items())),
+                              *[("compute_heatmap", config.train.eval_attack)] * 2]
+            assert sorted(recorded) == ["eval.json", "heatmap_test.csv", "heatmap_train.csv",
+                                        "label_variance_test.csv",
+                                        "label_variance_train.csv"]
+            assert recorded == attacked
+
+    def fallback(self, cfg, ckpt, out, passes):
+        """eval and heatmap of ``ckpt`` under ``cfg``, which differs from the
+        run's: the passes made, after asserting that they and the bytes equal
+        those of the checkpoint without its record."""
+        passes.clear()
+        recorded = eval_outputs(cfg, ckpt, out / "recorded")
+        made = list(passes)
+        strip_measured(ckpt)
+        passes.clear()
+        assert eval_outputs(cfg, ckpt, out / "attacked") == recorded
+        config = load_config(cfg)
+        attacks = [atk for _, atk in sorted(config.eval_attacks.items())]
+        heatmaps = [("compute_heatmap", config.train.eval_attack)] * 2
+        assert passes == [("clean_accuracy", None),
+                          *(("attacked_stats", atk) for atk in attacks), *heatmaps]
+        assert [p for p in made if p[0] == "compute_heatmap"] == heatmaps
+        assert [p for p in made if p[0] == "attacked_stats"] == [
+            ("attacked_stats", atk) for atk in attacks]
+        return made
+
+    def test_other_step_size(self, quick_config, passes):
+        cfg, out = quick_config()
+        assert main(["train", "--config", str(cfg)]) == 0
+        other, other_out = quick_config(out_name="other",
+                                        **{"step_size = 0.0625": "step_size = 0.05"})
+        made = self.fallback(other, out / "last.ckpt", other_out, passes)
+        # the data is the run's, so the clean accuracy is still the row's
+        assert ("clean_accuracy", None) not in made
+
+    def test_other_data_seed(self, quick_config, passes):
+        cfg, out = quick_config()
+        assert main(["train", "--config", str(cfg)]) == 0
+        other, other_out = quick_config(out_name="other", **{"seed = 5": "seed = 6"})
+        made = self.fallback(other, out / "last.ckpt", other_out, passes)
+        assert made[0] == ("clean_accuracy", None)
+
+    def test_idx_file_changed_on_disk(self, tmp_path, passes):
+        rng = np.random.default_rng(0)
+        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+        images = rng.integers(0, 256, size=(80, 4, 4), dtype=np.uint8)
+        ip.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">III", 80, 4, 4)
+                       + images.tobytes())
+        lp.write_bytes(b"\x00\x00\x08\x01" + struct.pack(">I", 80)
+                       + bytes(i % 3 for i in range(80)))
+        text = QUICK.format(out=tmp_path / "run")
+        dataset = text[text.index("[dataset]"):text.index("[model]")]
+        cfg = tmp_path / "idx.ini"
+        cfg.write_text(text.replace(dataset, f"[dataset]\nkind = idx\nimages = {ip}\n"
+                                             f"labels = {lp}\ntrain_fraction = 0.75\n\n"))
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "last.ckpt"
+        eval_outputs(cfg, ckpt, tmp_path / "unchanged")
+        assert [p[0] for p in passes] == ["attacked_stats"]  # [eval.clean] only
+        images[:, 0, 0] ^= 1  # one bit in each image, so both splits change
+        ip.write_bytes(ip.read_bytes()[:16] + images.tobytes())
+        made = self.fallback(cfg, ckpt, tmp_path, passes)
+        assert made[0] == ("clean_accuracy", None)
+
+    def test_checkpoint_without_record(self, quick_config, passes):
+        cfg, out = quick_config()
+        assert main(["train", "--config", str(cfg)]) == 0
+        strip_measured(out / "last.ckpt")
+        assert load_checkpoint(out / "last.ckpt").measured is None
+        made = self.fallback(cfg, out / "last.ckpt", out, passes)
+        assert made[0] == ("clean_accuracy", None)
 
 
 class TestGradcheckCommand:
@@ -503,3 +712,18 @@ class TestCheckpointCompat:
         ck = load_checkpoint(out / "last.ckpt")
         assert ck.epoch == 1
         assert np.isfinite(ck.model.params.flatten()).all()
+
+    def test_documented_header_keys_are_the_written_ones(self, quick_config):
+        doc = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
+        block = doc.split("Header keys:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        documented = re.findall(r'(?m)^  "(\w+)":', block)
+        cfg, out = quick_config()
+        assert main(["train", "--config", str(cfg)]) == 0
+        raw = (out / "last.ckpt").read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        written = json.loads(raw[12:12 + hlen])
+        assert sorted(documented) == sorted(written)
+        # the record names every field of the attack, or a new field could
+        # let another attack read it
+        assert sorted(written["measured"]["attack"]) == sorted(
+            f.name for f in dataclasses.fields(AttackConfig))

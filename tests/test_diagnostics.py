@@ -16,7 +16,9 @@ from advlab.diagnostics import (
     certainty_gap,
     clean_accuracy,
     compute_heatmap,
+    confusion_counts,
     dataset_certainty,
+    heatmap_from_confusion,
     label_level_variance,
     overfitting_gap,
     robust_accuracy,
@@ -93,10 +95,16 @@ class TestRobustAccuracy:
         model = init_model(ModelSpec(4, (8, 3), "relu", 0))
         ds = make_gaussian_mixture(3, 4, 30, 3.0, 0.8, seed=2)
         cfg = pgd_cfg(0.2)
-        clean, robust, ac = split_metrics(model, ds, cfg)
+        clean, robust, ac, confusion = split_metrics(model, ds, cfg)
         assert clean == clean_accuracy(model, ds)
         assert robust == robust_accuracy(model, ds, cfg)
         assert ac == pytest.approx(dataset_certainty(model, ds, cfg), abs=1e-12)
+        _, _, preds = attacked_stats(model, ds, cfg)
+        assert confusion.dtype == np.int64 and confusion.shape == (3, 3)
+        assert np.array_equal(confusion.sum(axis=1), np.bincount(ds.labels, minlength=3))
+        assert np.trace(confusion) / len(ds) == robust
+        for j, k in np.ndindex(3, 3):
+            assert confusion[j, k] == ((ds.labels == j) & (preds == k)).sum()
 
 
 class TestHeatmap:
@@ -140,6 +148,25 @@ class TestHeatmap:
         hm = compute_heatmap(model, ds, pgd_cfg(0.0))
         assert hm.empty_classes == (1,)
         assert np.all(hm.matrix[1] == 0.0)
+
+    @pytest.mark.parametrize("k,n", [(2, 1), (3, 7), (4, 1000), (5, 2000), (7, 333)])
+    def test_counts_give_the_bits_of_adding_one_per_example(self, k, n):
+        # the heatmap as it was computed before the counts were kept:
+        # 1.0 added per (label, prediction), then each filled row divided
+        rng = np.random.default_rng(k * n)
+        labels = rng.integers(0, k - 1, size=n)  # class k - 1 stays empty
+        preds = rng.integers(0, k, size=n)
+        matrix = np.zeros((k, k))
+        np.add.at(matrix, (labels, preds), 1.0)
+        counts = np.bincount(labels, minlength=k).astype(np.int64)
+        filled = counts > 0
+        matrix[filled] /= counts[filled, None]
+        confusion = confusion_counts(labels, preds, k)
+        hm = heatmap_from_confusion(confusion)
+        assert confusion.dtype == np.int64
+        assert np.array_equal(hm.counts, counts)
+        assert hm.matrix.tobytes() == matrix.tobytes()
+        assert hm.empty_classes == (k - 1,)
 
 
 class TestLabelLevelVariance:
@@ -379,6 +406,8 @@ SPLIT_ATTACKS = {
                                     random_start=True),
     "fgsm": AttackConfig(norm="linf", epsilon=0.3, kind="fgsm"),
     "epsilon_zero": AttackConfig(norm="linf", epsilon=0.0, step_size=1.0, steps=0),
+    "zero_steps_random_start": AttackConfig(norm="l2", epsilon=0.8, steps=0,
+                                            random_start=True),
 }
 
 
@@ -397,14 +426,6 @@ class TestSplitAcrossWorkers:
 
     MODEL = init_model(ModelSpec(16, (32, 4), "relu", 5))
     DATASETS = split_datasets()
-
-    @pytest.fixture
-    def worker_count(self, monkeypatch):
-        def set_count(n):
-            if n > 1 and workers.blas_threads() is None:
-                pytest.skip("numpy's OpenBLAS thread count cannot be pinned here")
-            monkeypatch.setattr(workers, "cpu_count", lambda: n)
-        return set_count
 
     @pytest.mark.parametrize("data", sorted(DATASETS))
     @pytest.mark.parametrize("attack", sorted(SPLIT_ATTACKS))

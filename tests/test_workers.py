@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,16 +38,6 @@ def children():
         except FileNotFoundError:  # a thread that ended since the listing
             pass
     return pids
-
-
-@pytest.fixture
-def worker_count(monkeypatch):
-    """Set the CPU count ``Workers`` sees; more than one needs a pinnable BLAS."""
-    def set_count(n):
-        if n > 1 and workers.blas_threads() is None:
-            pytest.skip("numpy's OpenBLAS thread count cannot be pinned here")
-        monkeypatch.setattr(workers, "cpu_count", lambda: n)
-    return set_count
 
 
 @pytest.fixture
@@ -177,6 +168,28 @@ class TestWorkers:
             calls = [w.start(forks_made_by, attacked_stats, model, big, ATTACK),
                      w.start(forks_made_by, train_run, config(epochs=2), data(), SPEC)]
             assert [c.result() for c in calls] == [0, 0]
+
+    @pytest.mark.parametrize("atk", [
+        AttackConfig(norm="linf", epsilon=0.0, steps=0),
+        AttackConfig(norm="l2", epsilon=0.5, steps=0, random_start=True),
+    ], ids=["clean", "random_start"])
+    def test_a_pass_without_gradient_steps_never_forks(self, worker_count, atk):
+        # one forward per slice costs less than a fork
+        big = make_gaussian_mixture(3, 4, 200, 3.0, 0.8, seed=13)  # 600 rows, 3 slices
+        model = init_model(SPEC)
+        outcomes = []
+        for n in (1, 2):
+            worker_count(n)
+            rng = np.random.default_rng(4)
+            assert forks_made_by(
+                lambda: outcomes.append((*attacked_stats(model, big, atk, rng),
+                                         rng.bit_generator.state))) == 0
+        (racc1, ac1, preds1, state1), (racc2, ac2, preds2, state2) = outcomes
+        assert (racc1, ac1, state1) == (racc2, ac2, state2)
+        assert np.array_equal(preds1, preds2)
+        # a gradient step still splits the pass
+        assert forks_made_by(attacked_stats, model, big, replace(atk, steps=1, step_size=0.1),
+                             np.random.default_rng(4)) == 1
 
     def test_blas_pinned_inside_and_restored(self, blas_count):
         with workers.Workers():
@@ -388,6 +401,11 @@ epsilon = 0.5
 step_size = 0.25
 steps = 3
 random_start = true
+
+[eval.clean]
+norm = linf
+epsilon = 0
+steps = 0
 
 [output]
 formats = csv,json

@@ -21,13 +21,14 @@ from .diagnostics import (
     attacked_stats,
     clean_accuracy,
     compute_heatmap,
+    confusion_accuracy,
     heatmap_from_confusion,
     label_level_variance,
     overfitting_gap,
-    robust_accuracy,
     stepsize_sweep,
 )
-from .diagnostics import dataset_certainty  # noqa: F401 (bench/tracing.py patches it)
+# bench/tracing.py patches these
+from .diagnostics import dataset_certainty, robust_accuracy  # noqa: F401
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -41,6 +42,7 @@ from .train import (
     Checkpoint,
     eval_rng,
     load_checkpoint,
+    record_pass,
     recorded_confusion,
     save_checkpoint,
     train_run,
@@ -99,27 +101,26 @@ def write_sweep_csv(path, rows) -> None:
 
 
 def _summary(config: ExperimentConfig, history, best: Checkpoint, last: Checkpoint,
-             test_set: Dataset) -> dict:
-    """The run's figures. An ``[eval.*]`` attack that a checkpoint recorded
-    on this test split (``recorded_confusion``) reports its history row;
-    every other attack makes one pass per checkpoint, one in all when the
-    best checkpoint is the last."""
+             test_set: Dataset):
+    """(the run's figures, best, last). Each ``[eval.*]`` attack's robust
+    accuracy at a checkpoint is read through ``recorded_confusion``: from the
+    history row's pass or a pass made here, one per checkpoint and one in all
+    when the best checkpoint is the last. Each pass made here is recorded in
+    the checkpoint returned (``record_pass``)."""
     best_r, last_r, gap = overfitting_gap(history)
-
-    def robust_acc(ckpt: Checkpoint, atk) -> float:
-        if recorded_confusion(ckpt, 1, test_set, atk) is not None:
-            return ckpt.metrics_row.robust_acc_test
-        return robust_accuracy(ckpt.model, test_set, atk,
-                               eval_rng(atk, config.train.seed, ckpt.epoch, 1))
-
+    ckpts = [best] if best is last else [best, last]
     per_attack = {}
     for name, atk in sorted(config.eval_attacks.items()):
-        best_acc = robust_acc(best, atk)
-        per_attack[name] = {
-            "best_robust_acc": best_acc,
-            "last_robust_acc": best_acc if best is last else robust_acc(last, atk),
-        }
-    return {
+        accs = []
+        for i, ckpt in enumerate(ckpts):
+            recorded = recorded_confusion(ckpt, 1, test_set, atk)
+            if recorded is None:
+                ckpts[i] = ckpt = record_pass(ckpt, test_set, atk)
+                recorded = recorded_confusion(ckpt, 1, test_set, atk)
+            accs.append(confusion_accuracy(recorded[0]))
+        per_attack[name] = {"best_robust_acc": accs[0], "last_robust_acc": accs[-1]}
+    best, last = ckpts[0], ckpts[-1]
+    summary = {
         "method": config.train.method,
         "seed": config.train.seed,
         "epochs": config.train.epochs,
@@ -136,6 +137,7 @@ def _summary(config: ExperimentConfig, history, best: Checkpoint, last: Checkpoi
         "robust_acc_test_curve": [row.robust_acc_test for row in history],
         "eval_attacks": per_attack,
     }
+    return summary, best, last
 
 
 def cmd_train(args) -> int:
@@ -158,9 +160,12 @@ def cmd_train(args) -> int:
     write_history_csv(out_dir / "history.csv", history)
     if "json" in config.formats:
         write_history_json(out_dir / "history.json", history)
-    save_checkpoint(best, out_dir / "best.ckpt")
-    save_checkpoint(last, out_dir / "last.ckpt")
-    summary = _summary(config, history, best, last, test_set)
+    try:
+        summary, best, last = _summary(config, history, best, last, test_set)
+    finally:
+        # with the passes of summary.json recorded, or as trained if one failed
+        save_checkpoint(best, out_dir / "best.ckpt")
+        save_checkpoint(last, out_dir / "last.ckpt")
     (out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -193,17 +198,16 @@ def _load_checkpoint_for(config: ExperimentConfig, path, train_set: Dataset) -> 
 
 def cmd_eval(args) -> int:
     """Clean accuracy and each attack's figures on the test split. What the
-    checkpoint recorded on this split (``recorded_confusion``) is read from
-    its history row; the rest is one pass each."""
+    checkpoint recorded on this split (``recorded_confusion``) is read; the
+    rest is one pass each."""
     config = load_config(args.config).with_overrides(out_dir=args.out)
     train_set, test_set = config.build_datasets()
     ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
     attacks = dict(config.eval_attacks) or {"eval": config.train.eval_attack}
-    row = ckpt.metrics_row
     report = {
         "checkpoint": str(args.checkpoint),
         "epoch": ckpt.epoch,
-        "clean_acc_test": (row.clean_acc_test
+        "clean_acc_test": (ckpt.metrics_row.clean_acc_test
                            if recorded_confusion(ckpt, 1, test_set) is not None
                            else clean_accuracy(ckpt.model, test_set)),
         "attacks": {},
@@ -211,8 +215,9 @@ def cmd_eval(args) -> int:
     print(f"checkpoint epoch {ckpt.epoch}: clean accuracy {report['clean_acc_test']:.4f}")
     seed = ckpt.rng_state["base_seed"]
     for name, atk in sorted(attacks.items()):
-        if recorded_confusion(ckpt, 1, test_set, atk) is not None:
-            racc, ac = row.robust_acc_test, row.ac_test
+        recorded = recorded_confusion(ckpt, 1, test_set, atk)
+        if recorded is not None:
+            racc, ac = confusion_accuracy(recorded[0]), recorded[1]
         else:
             racc, ac, _ = attacked_stats(ckpt.model, test_set, atk,
                                          eval_rng(atk, seed, ckpt.epoch, 1))
@@ -236,9 +241,9 @@ def cmd_heatmap(args) -> int:
     split = SPLITS.index(args.split)
     dataset = (train_set, test_set)[split]
     atk = config.train.eval_attack
-    confusion = recorded_confusion(ckpt, split, dataset, atk)
-    if confusion is not None:
-        hm = heatmap_from_confusion(confusion)
+    recorded = recorded_confusion(ckpt, split, dataset, atk)
+    if recorded is not None:
+        hm = heatmap_from_confusion(recorded[0])
     else:
         rng = eval_rng(atk, ckpt.rng_state["base_seed"], ckpt.epoch, split)
         hm = compute_heatmap(ckpt.model, dataset, atk, rng)

@@ -275,6 +275,9 @@ def parse_config(text, source="<config>") -> ExperimentConfig:
             "train_fraction": ds.get_float("train_fraction", 0.8),
             "shuffle_seed": ds.get_int("shuffle_seed", 0),
         }
+    for key in ("seed", "shuffle_seed"):
+        if (options.get(key) or 0) < 0:
+            ds._fail(key, f"must be non-negative, got {options[key]}")
     ds.reject_unknown()
 
     model = take("model")

@@ -3,6 +3,8 @@ and batching. Everything is deterministic per seed."""
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -12,6 +14,7 @@ import numpy as np
 
 from .autodiff import as_f64
 from .errors import ConfigError, DataFormatError, ShapeError
+from .netcore import MAX_ARRAY_BYTES
 
 
 class Batch(NamedTuple):
@@ -101,6 +104,9 @@ def make_gaussian_mixture(num_classes, dim, per_class, class_separation, noise_s
         raise ConfigError("num_classes, dim and per_class must all be positive")
     if class_separation < 0 or noise_std < 0:
         raise ConfigError("class_separation and noise_std must be non-negative")
+    if 8 * num_classes * per_class * dim > MAX_ARRAY_BYTES:
+        raise ConfigError(f"{num_classes} classes of {per_class} points in {dim} dimensions "
+                          "are more than numpy can hold")
     means = np.zeros((num_classes, dim))
     if num_classes > 1:
         if dim >= 2:
@@ -140,8 +146,12 @@ def _read_idx_array(path, expect_ndim):
         for i in range(ndim):
             raw = _read_exact(f, 4, 4 + 4 * i, path)
             dims.append(struct.unpack(">I", raw)[0])
-        count = int(np.prod(dims)) if dims else 0
+        count = math.prod(dims)
         offset = 4 + 4 * ndim
+        left = os.fstat(f.fileno()).st_size - offset
+        if count > left:
+            raise DataFormatError(f"{path}: dims {dims} promise {count} bytes, the file "
+                                  f"holds {left}", offset=offset)
         payload = _read_exact(f, count, offset, path)
         extra = f.read(1)
         if extra:
@@ -163,6 +173,9 @@ def load_idx_images(images_path, labels_path, downsample_to=None) -> Dataset:
             f"{images_path}: {images.shape[0]} images but {labels.shape[0]} labels", offset=4
         )
     n, h, w = images.shape
+    if not n * h * w:
+        raise DataFormatError(f"{images_path}: {n} images of {h} x {w} pixels hold no pixel",
+                              offset=4)
     pixels = images.astype(np.float64) / 255.0
     if downsample_to is not None:
         if h != w:

@@ -203,10 +203,17 @@ def dataset_certainty(model: ModelState, dataset: Dataset, attack_config: Attack
 def split_metrics(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
                   rng=None):
     """(clean accuracy, robust accuracy, certainty, confusion counts) with a
-    single attack pass; see ``confusion_counts``."""
-    robust, spread, preds = attacked_stats(model, dataset, attack_config, rng)
-    confusion = confusion_counts(dataset.labels, preds, model.spec.num_classes)
-    return clean_accuracy(model, dataset), robust, spread, confusion
+    single attack pass; see ``attack_counts``."""
+    confusion, spread = attack_counts(model, dataset, attack_config, rng)
+    return clean_accuracy(model, dataset), confusion_accuracy(confusion), spread, confusion
+
+
+def attack_counts(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
+                  rng=None):
+    """(confusion counts, mean certainty) of one attack pass; see
+    ``confusion_counts`` and ``confusion_accuracy``."""
+    _, spread, preds = attacked_stats(model, dataset, attack_config, rng)
+    return confusion_counts(dataset.labels, preds, model.spec.num_classes), spread
 
 
 def confusion_counts(labels, preds, num_classes) -> np.ndarray:
@@ -214,6 +221,12 @@ def confusion_counts(labels, preds, num_classes) -> np.ndarray:
     were predicted as k."""
     k = num_classes
     return np.bincount(labels * k + preds, minlength=k * k).reshape(k, k)
+
+
+def confusion_accuracy(confusion) -> float:
+    """The diagonal's share of the counts: the robust accuracy of the pass
+    that made them, by the division that ``attacked_stats`` makes."""
+    return int(np.trace(confusion)) / int(confusion.sum())
 
 
 def heatmap_from_confusion(confusion) -> Heatmap:
@@ -235,8 +248,7 @@ def compute_heatmap(model: ModelState, dataset: Dataset, attack_config: AttackCo
         raise ShapeError(
             f"dataset has {dataset.num_classes} classes but model only {k}"
         )
-    _, _, preds = attacked_stats(model, dataset, attack_config, rng)
-    return heatmap_from_confusion(confusion_counts(dataset.labels, preds, k))
+    return heatmap_from_confusion(attack_counts(model, dataset, attack_config, rng)[0])
 
 
 def label_level_variance(heatmap: Heatmap) -> np.ndarray:

@@ -9,6 +9,7 @@ gradient with respect to the logits back to the parameters or the input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,9 @@ from .autodiff import as_f64, finite_diff_grad
 from .errors import ConfigError, NumericError, ShapeError
 
 ACTIVATIONS = ("relu", "tanh")
+
+# numpy refuses, before allocating, an array of more bytes than this
+MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 class ParamVector:
@@ -28,7 +32,7 @@ class ParamVector:
     result the class computes itself is kept as computed, with no second copy.
     """
 
-    __slots__ = ("_names", "_arrays")
+    __slots__ = ("_names", "_arrays", "_sha256")
 
     def __init__(self, segments):
         self._keep((name, as_f64(arr).copy()) for name, arr in segments)
@@ -44,6 +48,7 @@ class ParamVector:
             arrays[name] = a
         self._names = tuple(names)
         self._arrays = arrays
+        self._sha256 = None
 
     @classmethod
     def _adopt(cls, segments):
@@ -112,12 +117,33 @@ class ParamVector:
         flat = as_f64(flat).reshape(-1)
         if flat.size != self.size():
             raise ShapeError(f"expected {self.size()} values, got {flat.size}")
+        return ParamVector(ParamVector.views(flat, self.layout()).items())
+
+    def sha256(self) -> str:
+        """Hex sha256 of the segments' bytes in order, as little-endian float64:
+        the parameter bytes a checkpoint stores. The arrays are read-only, so
+        it is computed once."""
+        if self._sha256 is None:
+            import hashlib  # imported here: not on the command-line start-up path
+
+            digest = hashlib.sha256()
+            for name in self._names:
+                digest.update(np.ascontiguousarray(self._arrays[name], dtype="<f8"))
+            self._sha256 = digest.hexdigest()
+        return self._sha256
+
+    @classmethod
+    def views(cls, flat, layout) -> "ParamVector":
+        """A vector of read-only views into the 1-D array ``flat``, one per
+        (name, shape) of ``layout`` in order, with no copy; ``flat`` holds
+        exactly the layout's values."""
         out = []
         pos = 0
-        for name, arr in self.items():
-            out.append((name, flat[pos : pos + arr.size].reshape(arr.shape)))
-            pos += arr.size
-        return ParamVector(out)
+        for name, shape in layout:
+            size = math.prod(shape)
+            out.append((name, flat[pos : pos + size].reshape(shape)))
+            pos += size
+        return cls._adopt(out)
 
     def allfinite(self) -> bool:
         return all(np.isfinite(a).all() for a in self._arrays.values())
@@ -155,6 +181,9 @@ class ModelSpec:
             raise ConfigError(f"layer widths must be positive, got {self.layer_widths}")
         if self.layer_widths[-1] < 2:
             raise ConfigError("final layer width (class count) must be at least 2")
+        if any(8 * fan_in * fan_out > MAX_ARRAY_BYTES for fan_in, fan_out in self.layer_dims()):
+            raise ConfigError(f"layer widths {self.layer_widths} make a weight matrix larger "
+                              "than numpy can hold")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
 

@@ -28,16 +28,17 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .attack import AttackConfig, generate_batch
 from .data import Batch, Dataset, batches
-from .diagnostics import MetricsRecord, split_metrics
+from .diagnostics import MetricsRecord, attack_counts, split_metrics
 from .errors import (
     AdvlabError,
     CheckpointError,
@@ -130,21 +131,37 @@ class StepReport:
 
 
 @dataclass(frozen=True)
+class Pass:
+    """One attack pass over a split: the attack, the K x K confusion counts of
+    the attacked inputs (``diagnostics.confusion_counts``) and their mean
+    certainty ``ac``."""
+
+    attack: AttackConfig
+    confusion: np.ndarray
+    ac: float
+
+
+@dataclass(frozen=True)
 class Measured:
-    """What the evaluation attack behind a checkpoint's history row saw: the
-    attack and, per split in ``SPLITS`` order, the sha256 of the split's data
-    (``Dataset.sha256``) and the K x K confusion counts of its attacked
-    inputs (``diagnostics.confusion_counts``)."""
+    """The attack passes made at a checkpoint's weights. ``attack`` is the
+    evaluation attack behind its history row; per split in ``SPLITS`` order,
+    ``sha256`` holds the sha256 of the split's data (``Dataset.sha256``) and
+    ``confusion`` the counts of that attack's pass. ``params_sha256`` is the
+    sha256 of the weights (``ParamVector.sha256``), None in a record kept
+    before it was. ``passes`` holds the test-split passes of other attacks
+    that ``advlab train`` made for ``summary.json`` (``Pass``)."""
 
     attack: AttackConfig
     sha256: tuple
     confusion: tuple
+    params_sha256: Optional[str] = None
+    passes: tuple = ()
 
 
 @dataclass(frozen=True)
 class Checkpoint:
     """The weights after epoch ``epoch`` with their history row and, when
-    ``train_run`` made them, the record of that row's evaluation attack."""
+    ``train_run`` made them, the record of their attack passes."""
 
     model: ModelState
     epoch: int
@@ -156,28 +173,46 @@ class Checkpoint:
 
 def recorded_confusion(checkpoint: Checkpoint, split, dataset: Dataset,
                        attack: Optional[AttackConfig] = None):
-    """The confusion counts that training recorded for split ``split`` (an
-    index into ``SPLITS``) of the checkpoint, or None.
+    """(confusion counts, mean certainty) of a pass recorded with the
+    checkpoint over split ``split`` (an index into ``SPLITS``), or None.
 
-    They are returned when ``dataset`` has the sha256 of the split that
-    training attacked and ``attack`` (if given) equals the attack it used.
-    Then one pass of ``attack`` over ``dataset``, seeded by ``eval_rng``,
-    would repeat the checkpoint's history row bit for bit, its clean
-    accuracy included; with ``attack`` None only the data must match. On
-    None the caller makes the pass. Counts whose row sums are not the
-    split's class counts raise ``CheckpointError``.
+    A pass is returned when the checkpoint's weights have the recorded
+    sha256, ``dataset`` has the sha256 of the split that was attacked and
+    ``attack`` (if given) equals the pass's attack: the history row's on
+    either split, or one of the recorded test-split ``passes``. Then one pass
+    of ``attack`` over ``dataset``, seeded by ``eval_rng``, would repeat it
+    bit for bit. With ``attack`` None only weights and data must match, and
+    the history row's pass is returned; the row's clean accuracy is then the
+    split's too. On None the caller makes the pass. Counts whose row sums
+    are not the split's class counts raise ``CheckpointError``.
     """
     measured = checkpoint.measured
     if measured is None or measured.sha256[split] != dataset.sha256:
         return None
-    if attack is not None and attack != measured.attack:
+    if attack is None or attack == measured.attack:
+        found = Pass(measured.attack, measured.confusion[split],
+                     getattr(checkpoint.metrics_row, f"ac_{SPLITS[split]}"))
+    else:
+        test_passes = measured.passes if SPLITS[split] == "test" else ()
+        found = next((p for p in test_passes if p.attack == attack), None)
+    if found is None or measured.params_sha256 != checkpoint.model.params.sha256():
         return None
-    confusion = measured.confusion[split]
-    if not np.array_equal(confusion.sum(axis=1),
-                          np.bincount(dataset.labels, minlength=len(confusion))):
+    if not np.array_equal(found.confusion.sum(axis=1),
+                          np.bincount(dataset.labels, minlength=len(found.confusion))):
         raise CheckpointError(f"recorded {SPLITS[split]} counts do not give the split's "
                               "class counts")
-    return confusion
+    return found.confusion, found.ac
+
+
+def record_pass(checkpoint: Checkpoint, dataset: Dataset, attack: AttackConfig) -> Checkpoint:
+    """The checkpoint with one more recorded pass: ``attack`` over ``dataset``,
+    the test split its record names, seeded by ``eval_rng``."""
+    rng = eval_rng(attack, checkpoint.rng_state["base_seed"], checkpoint.epoch,
+                   SPLITS.index("test"))
+    confusion, ac = attack_counts(checkpoint.model, dataset, attack, rng)
+    measured = checkpoint.measured
+    return replace(checkpoint, measured=replace(
+        measured, passes=measured.passes + (Pass(attack, confusion, ac),)))
 
 
 def _descend(params: ParamVector, direction: ParamVector, size) -> ParamVector:
@@ -456,7 +491,7 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
             raise aborted(epoch, exc) from exc
         history.append(row)
         measured = Measured(config.eval_attack, (train_set.sha256, test_set.sha256),
-                            confusion)
+                            confusion, model.params.sha256())
         last = Checkpoint(model, epoch, momentum, _rng_record(config, epoch + 1), row,
                           measured)
         if best is None or row.robust_acc_test > best.metrics_row.robust_acc_test:
@@ -513,41 +548,77 @@ def _measured_record(measured: Measured) -> dict:
     record = {"attack": _attack_record(measured.attack)}
     for name, digest, confusion in zip(SPLITS, measured.sha256, measured.confusion):
         record[name] = {"sha256": digest, "confusion": confusion.tolist()}
+    if measured.params_sha256 is not None:
+        record["params_sha256"] = measured.params_sha256
+    record["passes"] = [{"attack": _attack_record(p.attack), "confusion": p.confusion.tolist(),
+                         "ac": float(p.ac)} for p in measured.passes]
     return record
+
+
+def _attack_from(record) -> AttackConfig:
+    """An attack record read back; ValueError or TypeError unless it is what
+    ``_attack_record`` writes."""
+    clamp = record["domain_clamp"]
+    attack = AttackConfig(**{**record, "domain_clamp": tuple(clamp)
+                             if isinstance(clamp, list) else clamp})
+    if (json.dumps(_attack_record(attack), sort_keys=True, allow_nan=False)
+            != json.dumps(record, sort_keys=True, allow_nan=False)):
+        raise ValueError(f"measured attack {record} has a field of the wrong type")
+    return attack
+
+
+def _counts_from(rows, num_classes, what) -> np.ndarray:
+    """A K x K count matrix read back; ValueError unless it is a list of K
+    lists of K non-negative integers."""
+    if not (isinstance(rows, list) and len(rows) == num_classes
+            and all(isinstance(r, list) and len(r) == num_classes for r in rows)
+            and all(type(v) is int and v >= 0 for r in rows for v in r)):
+        raise ValueError(f"{what}: not a {num_classes} x {num_classes} matrix of "
+                         "non-negative integers")
+    return np.array(rows, dtype=np.int64)
 
 
 def _measured_from(record, num_classes, metrics: MetricsRecord) -> Measured:
     """The ``measured`` header key read back; ValueError or TypeError unless
     it is what ``_measured_record`` writes, with counts that give the
-    metrics row's robust accuracies."""
-    if not isinstance(record, dict) or set(record) != {"attack", *SPLITS}:
-        raise ValueError(f"measured must hold exactly attack, {', '.join(SPLITS)}")
-    attack_rec = record["attack"]
-    clamp = attack_rec["domain_clamp"]
-    attack = AttackConfig(**{**attack_rec, "domain_clamp": tuple(clamp)
-                             if isinstance(clamp, list) else clamp})
-    if (json.dumps(_attack_record(attack), sort_keys=True, allow_nan=False)
-            != json.dumps(attack_rec, sort_keys=True, allow_nan=False)):
-        raise ValueError(f"measured attack {attack_rec} has a field of the wrong type")
+    metrics row's robust accuracies. ``params_sha256`` and ``passes`` may be
+    absent, as in records written before they were kept."""
+    if not (isinstance(record, dict) and {"attack", *SPLITS} <= set(record)
+            <= {"attack", *SPLITS, "params_sha256", "passes"}):
+        raise ValueError(f"measured must hold attack, {', '.join(SPLITS)} and at most "
+                         "params_sha256, passes")
     digests, confusions = [], []
     for name in SPLITS:
         split = record[name]
         if not isinstance(split, dict) or set(split) != {"sha256", "confusion"}:
             raise ValueError(f"measured {name} must hold exactly sha256, confusion")
+        if not isinstance(split["sha256"], str):
+            raise ValueError(f"measured {name} sha256 is not a string")
         rows = split["confusion"]
-        if not (isinstance(split["sha256"], str) and isinstance(rows, list)
-                and len(rows) == num_classes
-                and all(isinstance(r, list) and len(r) == num_classes for r in rows)
-                and all(type(v) is int and v >= 0 for r in rows for v in r)):
-            raise ValueError(f"measured {name}: not a sha256 string and a {num_classes} x "
-                             f"{num_classes} matrix of non-negative integers")
+        confusions.append(_counts_from(rows, num_classes, f"measured {name}"))
         total = sum(map(sum, rows))
         robust = getattr(metrics, f"robust_acc_{name}")
         if total == 0 or sum(rows[j][j] for j in range(num_classes)) / total != robust:
             raise ValueError(f"measured {name} counts do not give robust_acc_{name} {robust}")
         digests.append(split["sha256"])
-        confusions.append(np.array(rows, dtype=np.int64))
-    return Measured(attack, tuple(digests), tuple(confusions))
+    if not isinstance(record.get("params_sha256", ""), str):
+        raise ValueError("measured params_sha256 is not a string")
+    entries = record.get("passes", [])
+    if not (isinstance(entries, list)
+            and all(isinstance(e, dict) and set(e) == {"attack", "confusion", "ac"}
+                    for e in entries)):
+        raise ValueError("measured passes must be a list of objects holding exactly "
+                         "attack, confusion, ac")
+    passes = []
+    for entry in entries:
+        ac = entry["ac"]
+        if not (type(ac) is float and 0.0 <= ac < float("inf")):
+            raise ValueError(f"measured pass ac {ac!r} is not a finite non-negative float")
+        passes.append(Pass(_attack_from(entry["attack"]),
+                           _counts_from(entry["confusion"], num_classes, "measured pass"),
+                           ac))
+    return Measured(_attack_from(record["attack"]), tuple(digests), tuple(confusions),
+                    record.get("params_sha256"), tuple(passes))
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
@@ -613,17 +684,19 @@ def load_checkpoint(path) -> Checkpoint:
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ConfigError,
             NumericError) as exc:
         raise CheckpointError(f"{path}: malformed header fields: {exc}") from exc
-    count = sum(int(np.prod(shape)) for _, shape in segments)
-    body = raw[start + hlen :]
-    if len(body) != 2 * 8 * count:
+    count = sum(math.prod(shape) for _, shape in segments)
+    offset = start + hlen
+    if len(raw) - offset != 2 * 8 * count:
         raise CheckpointError(
-            f"{path}: expected {2 * 8 * count} payload bytes, found {len(body)}"
+            f"{path}: expected {2 * 8 * count} payload bytes, found {len(raw) - offset}"
         )
-    flat = np.frombuffer(body, dtype="<f8")
+    # one copy of the payload, aligned: a view of ``raw`` at ``offset`` may not
+    # be, which can keep a matmul off its BLAS path
+    flat = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=offset).astype(np.float64)
+    flat.setflags(write=False)
     try:
-        template = ParamVector((name, np.zeros(shape)) for name, shape in segments)
-        params = template.unflatten(flat[:count])
-        buf = template.unflatten(flat[count:])
+        params = ParamVector.views(flat[:count], segments)
+        buf = ParamVector.views(flat[count:], segments)
         model = ModelState(spec, params)
     except (ConfigError, ShapeError) as exc:
         raise CheckpointError(f"{path}: parameters do not match spec: {exc}") from exc

@@ -111,13 +111,26 @@ def set_field(path, value):
     return edit
 
 
-def edit_confusion(split, edit):
-    """A header edit that passes ``split``'s recorded counts through ``edit``."""
+def edit_field(path, edit):
+    """A header edit that passes the field at ``path`` through ``edit``."""
     def apply(header):
-        rows = header["measured"][split]["confusion"]
-        header["measured"][split]["confusion"] = edit(rows)
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = edit(node[path[-1]])
         return header
     return apply
+
+
+def edit_confusion(split, edit):
+    """A header edit that passes ``split``'s recorded counts through ``edit``."""
+    return edit_field(("measured", split, "confusion"), edit)
+
+
+def edit_pass(key, edit):
+    """A header edit that passes field ``key`` of the first recorded test-split
+    pass (``[eval.clean]``'s) through ``edit``."""
+    return edit_field(("measured", "passes", 0, key), edit)
 
 
 def drop_field(*path):
@@ -170,6 +183,27 @@ MALFORMED = {
     "measured_doubled_counts": dict(edit_header=edit_confusion(
         "test", lambda c: [[2 * v for v in row] for row in c])),
     "epoch_infinite": dict(edit_header=set_field(("epoch",), float("inf"))),
+    # the weights' digest and the passes made for summary.json
+    "params_sha256_number": dict(edit_header=set_field(("measured", "params_sha256"), 5)),
+    "params_sha256_null": dict(edit_header=set_field(("measured", "params_sha256"), None)),
+    "passes_object": dict(edit_header=set_field(("measured", "passes"), {})),
+    "pass_null": dict(edit_header=set_field(("measured", "passes", 0), None)),
+    "pass_without_ac": dict(edit_header=drop_field("measured", "passes", 0, "ac")),
+    "pass_extra_key": dict(edit_header=set_field(("measured", "passes", 0, "split"), "test")),
+    "pass_steps_text": dict(edit_header=set_field(("measured", "passes", 0, "attack", "steps"),
+                                                  "0")),
+    "pass_ac_int": dict(edit_header=edit_pass("ac", lambda ac: 1)),
+    "pass_ac_text": dict(edit_header=edit_pass("ac", str)),
+    "pass_ac_nan": dict(edit_header=edit_pass("ac", lambda ac: float("nan"))),
+    "pass_ac_infinite": dict(edit_header=edit_pass("ac", lambda ac: float("inf"))),
+    "pass_ac_negative": dict(edit_header=edit_pass("ac", lambda ac: -ac)),
+    "pass_short_confusion": dict(edit_header=edit_pass("confusion", lambda c: c[:-1])),
+    "pass_negative_count": dict(edit_header=edit_pass(
+        "confusion", lambda c: [[-1] + c[0][1:]] + c[1:])),
+    "pass_float_count": dict(edit_header=edit_pass(
+        "confusion", lambda c: [[float(c[0][0])] + c[0][1:]] + c[1:])),
+    "pass_doubled_counts": dict(edit_header=edit_pass(
+        "confusion", lambda c: [[2 * v for v in row] for row in c])),
 }
 
 
@@ -220,17 +254,35 @@ class TestTrainCommand:
         # summary.json reads it from the history; clean takes one pass per
         # distinct checkpoint: best is last for seed 3, not for seed 5
         seen = []
+        counts = train_mod.attack_counts
 
         def spy(model, dataset, atk, rng=None):
             seen.append(atk)
-            return robust_accuracy(model, dataset, atk, rng)
+            return counts(model, dataset, atk, rng)
 
-        monkeypatch.setattr(cli, "robust_accuracy", spy)
+        monkeypatch.setattr(train_mod, "attack_counts", spy)
         cfg, out = quick_config(**{"epochs = 2": "epochs = 3"})
         assert main(["train", "--config", str(cfg), "--seed", seed]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["best_epoch"] == summary["last_epoch"]) == (passes == 1)
         assert seen == [load_config(cfg).eval_attacks["clean"]] * passes
+        # each checkpoint records the pass made at its weights
+        for name in ("best", "last"):
+            assert [p.attack for p in load_checkpoint(out / f"{name}.ckpt").measured.passes] \
+                == [load_config(cfg).eval_attacks["clean"]]
+
+    def test_checkpoints_written_when_a_summary_pass_fails(self, quick_config, monkeypatch,
+                                                           capsys):
+        def broken(*args):
+            raise NumericError("attack blew up")
+
+        monkeypatch.setattr(train_mod, "attack_counts", broken)
+        cfg, out = quick_config()
+        assert main(["train", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == "numeric error: attack blew up\n"
+        for name in ("best", "last"):
+            assert load_checkpoint(out / f"{name}.ckpt").measured.passes == ()
+        assert not (out / "summary.json").exists()
 
     def test_summary_eval_attack_figures_are_the_history_rows(self, quick_config):
         cfg, out = quick_config(**{"epochs = 2": "epochs = 3"})
@@ -300,13 +352,26 @@ class TestTrainCommand:
         assert "expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["truncated", "missing"])
+    @pytest.mark.parametrize("old,new", [
+        # numpy refuses both before it allocates anything
+        ("hidden = 16", "hidden = 99999999999999999999"),
+        ("train_per_class = 40", "train_per_class = 99999999999999999999"),
+    ])
+    def test_absurd_size_exit_2(self, quick_config, old, new, capsys):
+        cfg, _ = quick_config(**{old: new})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("case", ["truncated", "missing", "huge_dims"])
     def test_idx_file_error_exit_2(self, tmp_path, capsys, case):
         images = np.arange(4 * 2 * 2, dtype=np.uint8).reshape(4, 2, 2)
         ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
         blob = b"\x00\x00\x08\x03" + struct.pack(">III", 4, 2, 2) + images.tobytes()
         if case == "truncated":
             ip.write_bytes(blob[:-3])
+        elif case == "huge_dims":  # 109 bytes whose header promises 255 x 65535 x 65535
+            ip.write_bytes((b"\x00\x00\x08\x03" + struct.pack(">III", 255, 65535, 65535)
+                            + bytes(109))[:109])
         lp.write_bytes(b"\x00\x00\x08\x01" + struct.pack(">I", 4) + bytes([0, 1, 0, 1]))
         text = QUICK.format(out=tmp_path / "run")
         dataset = text[text.index("[dataset]"):text.index("[model]")]
@@ -530,11 +595,16 @@ class TestRandomStartEvaluation:
                     == summary["eval_attacks"]["l2"][f"{name}_robust_acc"])
 
 
-def strip_measured(path):
-    """Rewrite a checkpoint in place without its ``measured`` key, as
-    checkpoints were written before the key existed."""
+def strip_measured(path, *keys):
+    """Rewrite a checkpoint in place without the ``measured`` key, or without
+    the named keys inside it: as checkpoints were written before they were
+    kept."""
     def drop(header):
-        header.pop("measured", None)
+        if keys:
+            for key in keys:
+                header["measured"].pop(key, None)
+        else:
+            header.pop("measured", None)
         return header
 
     rewrite_checkpoint(path, path, edit_header=drop)
@@ -570,56 +640,74 @@ def passes(monkeypatch):
     return seen
 
 
+# an [eval.*] attack with gradient steps that equals no other attack
+PGD3 = {"[eval.clean]": "[eval.pgd3]\nnorm = linf\nepsilon = 0.25\nstep_size = 0.1\n"
+                        "steps = 3\n\n[eval.clean]"}
 EDAC = {"method = at": "method = edac\nedac_eta = 0.05"}
 RECORD_CASES = {
-    "at": {},
-    "at_trades": {"method = at": "method = at\nobjective = trades"},
-    "edac": EDAC,
-    "edac_trades": {"method = at": "method = edac\nedac_eta = 0.05\nobjective = trades"},
-    "edac_reg_trades": {"method = at": "method = edac_reg\nobjective = trades"},
-    "edac_reg": {"method = at": "method = edac_reg"},
+    "at": PGD3,
+    "at_trades": {**PGD3, "method = at": "method = at\nobjective = trades"},
+    "edac": {**PGD3, **EDAC},
+    "edac_trades": {**PGD3, "method = at": "method = edac\nedac_eta = 0.05\nobjective = trades"},
+    "edac_reg_trades": {**PGD3, "method = at": "method = edac_reg\nobjective = trades"},
+    "edac_reg": {**PGD3, "method = at": "method = edac_reg"},
     # random starts on [train.eval_attack], [eval.pgd5] (equal to it) and [eval.l2]
     "random_start_tanh": {**RANDOM_START, **EDAC, "activation = relu": "activation = tanh"},
 }
+# with three epochs, best is last for seed 3 and not for seed 5 (method at)
+SEEDS = {"3": True, "5": False}
 
 
 class TestRecordedEvaluation:
-    """A checkpoint's ``measured`` record stands in for the passes of
-    ``advlab eval`` and ``advlab heatmap`` that would repeat its history
-    row, with the same bytes out; anything else is attacked as before."""
+    """A checkpoint's ``measured`` record stands in for every pass of
+    ``advlab eval`` and ``advlab heatmap`` that ``advlab train`` made at its
+    weights, with the same bytes out; anything else is attacked as before."""
 
     @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("seed", sorted(SEEDS))
     @pytest.mark.parametrize("case", sorted(RECORD_CASES))
     def test_record_writes_the_bytes_of_the_passes(self, quick_config, passes,
-                                                   worker_count, case, n):
+                                                   worker_count, case, seed, n):
         worker_count(n)
-        cfg, out = quick_config(**RECORD_CASES[case])
-        assert main(["train", "--config", str(cfg)]) == 0
+        cfg, out = quick_config(**RECORD_CASES[case], **{"epochs = 2": "epochs = 3"})
+        assert main(["train", "--config", str(cfg), "--seed", seed]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        if case == "at":
+            assert (summary["best_epoch"] == summary["last_epoch"]) == SEEDS[seed]
         config = load_config(cfg)
-        other_attacks = [atk for _, atk in sorted(config.eval_attacks.items())
-                         if atk != config.train.eval_attack]
-        assert len(other_attacks) < len(config.eval_attacks)
+        attacks = [atk for _, atk in sorted(config.eval_attacks.items())]
+        other_attacks = [atk for atk in attacks if atk != config.train.eval_attack]
+        assert len(other_attacks) < len(attacks)
+        assert any(atk.steps > 0 for atk in other_attacks)
         for name in ("best", "last"):
             ckpt = out / f"{name}.ckpt"
             passes.clear()
             recorded = eval_outputs(cfg, ckpt, out / f"recorded_{name}")
+            assert passes == []
+            assert sorted(recorded) == ["eval.json", "heatmap_test.csv", "heatmap_train.csv",
+                                        "label_variance_test.csv",
+                                        "label_variance_train.csv"]
+            report = json.loads(recorded["eval.json"])
+            assert {k: report["attacks"][k]["robust_acc"] for k in config.eval_attacks} == {
+                k: summary["eval_attacks"][k][f"{name}_robust_acc"] for k in config.eval_attacks}
+            # without the passes made for summary.json, they are made again
+            strip_measured(ckpt, "passes")
+            assert eval_outputs(cfg, ckpt, out / f"no_passes_{name}") == recorded
             assert passes == [("attacked_stats", atk) for atk in other_attacks]
             strip_measured(ckpt)
             passes.clear()
             attacked = eval_outputs(cfg, ckpt, out / f"attacked_{name}")
             assert passes == [("clean_accuracy", None),
-                              *(("attacked_stats", atk)
-                                for _, atk in sorted(config.eval_attacks.items())),
+                              *(("attacked_stats", atk) for atk in attacks),
                               *[("compute_heatmap", config.train.eval_attack)] * 2]
-            assert sorted(recorded) == ["eval.json", "heatmap_test.csv", "heatmap_train.csv",
-                                        "label_variance_test.csv",
-                                        "label_variance_train.csv"]
             assert recorded == attacked
 
-    def fallback(self, cfg, ckpt, out, passes):
+    def fallback(self, cfg, ckpt, out, passes, attacked):
         """eval and heatmap of ``ckpt`` under ``cfg``, which differs from the
-        run's: the passes made, after asserting that they and the bytes equal
-        those of the checkpoint without its record."""
+        run's: assert that the passes made are a clean-accuracy pass or not,
+        then one of each attack named in ``attacked`` and both heatmaps, and
+        that the bytes equal those of the checkpoint without its record.
+        Returns whether the clean accuracy was computed."""
         passes.clear()
         recorded = eval_outputs(cfg, ckpt, out / "recorded")
         made = list(passes)
@@ -627,30 +715,30 @@ class TestRecordedEvaluation:
         passes.clear()
         assert eval_outputs(cfg, ckpt, out / "attacked") == recorded
         config = load_config(cfg)
-        attacks = [atk for _, atk in sorted(config.eval_attacks.items())]
         heatmaps = [("compute_heatmap", config.train.eval_attack)] * 2
         assert passes == [("clean_accuracy", None),
-                          *(("attacked_stats", atk) for atk in attacks), *heatmaps]
-        assert [p for p in made if p[0] == "compute_heatmap"] == heatmaps
-        assert [p for p in made if p[0] == "attacked_stats"] == [
-            ("attacked_stats", atk) for atk in attacks]
-        return made
+                          *(("attacked_stats", atk)
+                            for _, atk in sorted(config.eval_attacks.items())), *heatmaps]
+        clean = made[:1] == [("clean_accuracy", None)]
+        assert made[clean:] == [*(("attacked_stats", config.eval_attacks[name])
+                                  for name in sorted(attacked)), *heatmaps]
+        return clean
 
     def test_other_step_size(self, quick_config, passes):
-        cfg, out = quick_config()
+        cfg, out = quick_config(**PGD3)
         assert main(["train", "--config", str(cfg)]) == 0
-        other, other_out = quick_config(out_name="other",
+        other, other_out = quick_config(out_name="other", **PGD3,
                                         **{"step_size = 0.0625": "step_size = 0.05"})
-        made = self.fallback(other, out / "last.ckpt", other_out, passes)
-        # the data is the run's, so the clean accuracy is still the row's
-        assert ("clean_accuracy", None) not in made
+        # the data and weights are the run's: the clean accuracy and the
+        # unchanged pgd3 and clean attacks are read
+        assert not self.fallback(other, out / "last.ckpt", other_out, passes, ["pgd5"])
 
     def test_other_data_seed(self, quick_config, passes):
-        cfg, out = quick_config()
+        cfg, out = quick_config(**PGD3)
         assert main(["train", "--config", str(cfg)]) == 0
-        other, other_out = quick_config(out_name="other", **{"seed = 5": "seed = 6"})
-        made = self.fallback(other, out / "last.ckpt", other_out, passes)
-        assert made[0] == ("clean_accuracy", None)
+        other, other_out = quick_config(out_name="other", **PGD3, **{"seed = 5": "seed = 6"})
+        assert self.fallback(other, out / "last.ckpt", other_out, passes,
+                             ["clean", "pgd3", "pgd5"])
 
     def test_idx_file_changed_on_disk(self, tmp_path, passes):
         rng = np.random.default_rng(0)
@@ -668,19 +756,63 @@ class TestRecordedEvaluation:
         assert main(["train", "--config", str(cfg)]) == 0
         ckpt = tmp_path / "run" / "last.ckpt"
         eval_outputs(cfg, ckpt, tmp_path / "unchanged")
-        assert [p[0] for p in passes] == ["attacked_stats"]  # [eval.clean] only
+        assert passes == []
         images[:, 0, 0] ^= 1  # one bit in each image, so both splits change
         ip.write_bytes(ip.read_bytes()[:16] + images.tobytes())
-        made = self.fallback(cfg, ckpt, tmp_path, passes)
-        assert made[0] == ("clean_accuracy", None)
+        assert self.fallback(cfg, ckpt, tmp_path, passes, ["clean", "pgd5"])
 
     def test_checkpoint_without_record(self, quick_config, passes):
         cfg, out = quick_config()
         assert main(["train", "--config", str(cfg)]) == 0
         strip_measured(out / "last.ckpt")
         assert load_checkpoint(out / "last.ckpt").measured is None
-        made = self.fallback(cfg, out / "last.ckpt", out, passes)
-        assert made[0] == ("clean_accuracy", None)
+        assert self.fallback(cfg, out / "last.ckpt", out, passes, ["clean", "pgd5"])
+
+    def test_record_without_params_digest_is_not_read(self, quick_config, passes):
+        # as the record was written before the digest was kept
+        cfg, out = quick_config()
+        assert main(["train", "--config", str(cfg)]) == 0
+        strip_measured(out / "last.ckpt", "params_sha256")
+        assert load_checkpoint(out / "last.ckpt").measured.params_sha256 is None
+        assert self.fallback(cfg, out / "last.ckpt", out, passes, ["clean", "pgd5"])
+
+    def test_passes_are_read_on_the_test_split_only(self, quick_config):
+        cfg, out = quick_config()
+        assert main(["train", "--config", str(cfg)]) == 0
+        config = load_config(cfg)
+        train_set, test_set = config.build_datasets()
+        ckpt = load_checkpoint(out / "last.ckpt")
+        clean = config.eval_attacks["clean"]
+        confusion, ac = train_mod.recorded_confusion(ckpt, 1, test_set, clean)
+        assert (confusion.tolist(), ac) == (ckpt.measured.passes[0].confusion.tolist(),
+                                            ckpt.measured.passes[0].ac)
+        assert train_mod.recorded_confusion(ckpt, 0, train_set, clean) is None
+
+    def test_record_on_other_weights_is_not_read(self, quick_config, passes, tmp_path):
+        # best.ckpt's header on last.ckpt's payload gives last's figures
+        cfg, out = quick_config(**PGD3, **{"epochs = 2": "epochs = 3"})
+        assert main(["train", "--config", str(cfg), "--seed", "5"]) == 0
+        raw = {}
+        for name in ("best", "last"):
+            blob = (out / f"{name}.ckpt").read_bytes()
+            (hlen,) = struct.unpack("<I", blob[8:12])
+            raw[name] = (blob[:12 + hlen], blob[12 + hlen:])
+        spliced = tmp_path / "spliced.ckpt"
+        spliced.write_bytes(raw["best"][0] + raw["last"][1])
+        passes.clear()
+        got = eval_outputs(cfg, spliced, tmp_path / "spliced")
+        config = load_config(cfg)
+        assert passes == [("clean_accuracy", None),
+                          *(("attacked_stats", atk)
+                            for _, atk in sorted(config.eval_attacks.items())),
+                          *[("compute_heatmap", config.train.eval_attack)] * 2]
+        want = eval_outputs(cfg, out / "last.ckpt", tmp_path / "last")
+        report, want_report = (json.loads(files.pop("eval.json")) for files in (got, want))
+        assert report.pop("epoch") == load_checkpoint(out / "best.ckpt").epoch
+        assert want_report.pop("epoch") == load_checkpoint(out / "last.ckpt").epoch
+        del report["checkpoint"], want_report["checkpoint"]
+        assert report == want_report
+        assert got == want
 
 
 class TestGradcheckCommand:
@@ -723,7 +855,14 @@ class TestCheckpointCompat:
         (hlen,) = struct.unpack("<I", raw[8:12])
         written = json.loads(raw[12:12 + hlen])
         assert sorted(documented) == sorted(written)
-        # the record names every field of the attack, or a new field could
+        measured = block.split('"measured": {', 1)[1]
+        assert sorted(re.findall(r'(?m)^    "(\w+)":', measured)) == sorted(written["measured"])
+        split_keys = re.search(r'(?m)^    "test": (\{.*\}),?$', measured).group(1)
+        assert sorted(re.findall(r'"(\w+)":', split_keys)) == sorted(written["measured"]["test"])
+        entry = re.search(r'(?m)^      (\{.*\})$', measured).group(1)
+        assert sorted(re.findall(r'"(\w+)":', entry)) == sorted(written["measured"]["passes"][0])
+        # each record names every field of its attack, or a new field could
         # let another attack read it
-        assert sorted(written["measured"]["attack"]) == sorted(
-            f.name for f in dataclasses.fields(AttackConfig))
+        fields = sorted(f.name for f in dataclasses.fields(AttackConfig))
+        assert sorted(written["measured"]["attack"]) == fields
+        assert sorted(written["measured"]["passes"][0]["attack"]) == fields

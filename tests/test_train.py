@@ -1,4 +1,6 @@
+import hashlib
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -482,6 +484,30 @@ class TestCheckpointIO:
                            rng_state, half_last.metrics_row)
         with pytest.raises(CheckpointError, match="base_seed"):
             train_run(tiny_config(epochs=4), (train, test), spec, resume_from=other)
+
+    def test_loaded_segments_are_aligned_read_only_copies(self, tmp_path):
+        train, test = tiny_data()
+        last, _, _ = train_run(tiny_config(epochs=1), (train, test),
+                               ModelSpec(4, (8, 3), "relu", 0))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(last, path)
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        header, payload = raw[12:12 + hlen], raw[12 + hlen:]
+        # pad the header with JSON whitespace so that the payload starts 3 bytes
+        # past a multiple of 8
+        header += b" " * ((3 - 12 - hlen) % 8)
+        path.write_bytes(raw[:8] + struct.pack("<I", len(header)) + header + payload)
+        loaded = load_checkpoint(path)
+        segments = [a for pv in (loaded.model.params, loaded.optimizer_momentum)
+                    for _, a in pv.items()]
+        assert all(a.flags.aligned and not a.flags.writeable for a in segments)
+        assert all(a.flags.c_contiguous for a in segments)
+        assert b"".join(a.tobytes() for a in segments) == payload
+        # the digest a record names: the parameter bytes as written
+        size = loaded.model.params.size()
+        assert loaded.model.params.sha256() == hashlib.sha256(payload[:8 * size]).hexdigest()
+        assert last.model.params.sha256() == loaded.model.params.sha256()
 
     def test_corrupt_magic_rejected(self, tmp_path):
         p = tmp_path / "bad.ckpt"

@@ -233,8 +233,8 @@ def cmd_eval(args) -> int:
 
 def cmd_heatmap(args) -> int:
     """The heatmap and label-level variance of ``[train.eval_attack]`` on one
-    split: the checkpoint's recorded counts when they match
-    (``recorded_confusion``), else one pass."""
+    split: the counts of the checkpoint's recorded predictions when they
+    match (``recorded_confusion``), else one pass."""
     config = load_config(args.config).with_overrides(out_dir=args.out)
     train_set, test_set = config.build_datasets()
     ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)

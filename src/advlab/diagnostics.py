@@ -202,18 +202,10 @@ def dataset_certainty(model: ModelState, dataset: Dataset, attack_config: Attack
 
 def split_metrics(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
                   rng=None):
-    """(clean accuracy, robust accuracy, certainty, confusion counts) with a
-    single attack pass; see ``attack_counts``."""
-    confusion, spread = attack_counts(model, dataset, attack_config, rng)
-    return clean_accuracy(model, dataset), confusion_accuracy(confusion), spread, confusion
-
-
-def attack_counts(model: ModelState, dataset: Dataset, attack_config: AttackConfig,
-                  rng=None):
-    """(confusion counts, mean certainty) of one attack pass; see
-    ``confusion_counts`` and ``confusion_accuracy``."""
-    _, spread, preds = attacked_stats(model, dataset, attack_config, rng)
-    return confusion_counts(dataset.labels, preds, model.spec.num_classes), spread
+    """(clean accuracy, robust accuracy, certainty, predicted labels) with a
+    single attack pass; see ``attacked_stats``."""
+    return (clean_accuracy(model, dataset),
+            *attacked_stats(model, dataset, attack_config, rng))
 
 
 def confusion_counts(labels, preds, num_classes) -> np.ndarray:
@@ -248,7 +240,8 @@ def compute_heatmap(model: ModelState, dataset: Dataset, attack_config: AttackCo
         raise ShapeError(
             f"dataset has {dataset.num_classes} classes but model only {k}"
         )
-    return heatmap_from_confusion(attack_counts(model, dataset, attack_config, rng)[0])
+    preds = attacked_stats(model, dataset, attack_config, rng)[2]
+    return heatmap_from_confusion(confusion_counts(dataset.labels, preds, k))
 
 
 def label_level_variance(heatmap: Heatmap) -> np.ndarray:

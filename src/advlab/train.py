@@ -26,6 +26,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import math
@@ -38,7 +39,13 @@ import numpy as np
 
 from .attack import AttackConfig, generate_batch
 from .data import Batch, Dataset, batches
-from .diagnostics import MetricsRecord, attack_counts, split_metrics
+from .diagnostics import (
+    MetricsRecord,
+    attacked_stats,
+    confusion_accuracy,
+    confusion_counts,
+    split_metrics,
+)
 from .errors import (
     AdvlabError,
     CheckpointError,
@@ -132,30 +139,29 @@ class StepReport:
 
 @dataclass(frozen=True)
 class Pass:
-    """One attack pass over a split: the attack, the K x K confusion counts of
-    the attacked inputs (``diagnostics.confusion_counts``) and their mean
-    certainty ``ac``."""
+    """One attack pass over a split (a name in ``SPLITS``): the attack, each
+    row's predicted label on the attacked inputs and their mean certainty
+    ``ac``."""
 
+    split: str
     attack: AttackConfig
-    confusion: np.ndarray
+    preds: np.ndarray
     ac: float
 
 
 @dataclass(frozen=True)
 class Measured:
     """The attack passes made at a checkpoint's weights. ``attack`` is the
-    evaluation attack behind its history row; per split in ``SPLITS`` order,
-    ``sha256`` holds the sha256 of the split's data (``Dataset.sha256``) and
-    ``confusion`` the counts of that attack's pass. ``params_sha256`` is the
-    sha256 of the weights (``ParamVector.sha256``), None in a record kept
-    before it was. ``passes`` holds the test-split passes of other attacks
-    that ``advlab train`` made for ``summary.json`` (``Pass``)."""
+    evaluation attack behind its history row, whose pass over each split is
+    among ``passes``; the others are the test-split passes of other attacks
+    that ``advlab train`` made for ``summary.json``. ``sha256`` holds the
+    sha256 of each split's data in ``SPLITS`` order (``Dataset.sha256``) and
+    ``params_sha256`` that of the weights (``ParamVector.sha256``)."""
 
     attack: AttackConfig
     sha256: tuple
-    confusion: tuple
-    params_sha256: Optional[str] = None
-    passes: tuple = ()
+    params_sha256: str
+    passes: tuple
 
 
 @dataclass(frozen=True)
@@ -171,37 +177,54 @@ class Checkpoint:
     measured: Optional[Measured] = None
 
 
+def _moves_no_input(attack: AttackConfig) -> bool:
+    """Whether every input leaves ``attack`` unchanged, so that its pass
+    gives the clean accuracy: a radius of 0, or a pgd of 0 steps with no
+    random start, and no domain box to clip into."""
+    return attack.domain_clamp is None and (
+        attack.epsilon == 0 or (attack.kind == "pgd" and attack.steps == 0
+                                and not attack.random_start))
+
+
 def recorded_confusion(checkpoint: Checkpoint, split, dataset: Dataset,
                        attack: Optional[AttackConfig] = None):
     """(confusion counts, mean certainty) of a pass recorded with the
     checkpoint over split ``split`` (an index into ``SPLITS``), or None.
 
     A pass is returned when the checkpoint's weights have the recorded
-    sha256, ``dataset`` has the sha256 of the split that was attacked and
-    ``attack`` (if given) equals the pass's attack: the history row's on
-    either split, or one of the recorded test-split ``passes``. Then one pass
-    of ``attack`` over ``dataset``, seeded by ``eval_rng``, would repeat it
-    bit for bit. With ``attack`` None only weights and data must match, and
-    the history row's pass is returned; the row's clean accuracy is then the
-    split's too. On None the caller makes the pass. Counts whose row sums
-    are not the split's class counts raise ``CheckpointError``.
+    sha256, ``dataset`` has the sha256 of the split that was attacked and a
+    pass over that split has ``attack``, or the history row's attack when
+    ``attack`` is None. Then one pass of that attack over ``dataset``, seeded
+    by ``eval_rng``, would repeat it bit for bit; with ``attack`` None the
+    row's clean accuracy is the split's too. On None the caller makes the
+    pass. The counts are ``confusion_counts`` of the recorded predictions.
+    A pass that has not one prediction per row, that does not give the row's
+    robust accuracy and certainty when it is the row's pass, or that does not
+    give the row's clean accuracy when its attack moves no input
+    (``_moves_no_input``) raises ``CheckpointError``.
     """
     measured = checkpoint.measured
     if measured is None or measured.sha256[split] != dataset.sha256:
         return None
-    if attack is None or attack == measured.attack:
-        found = Pass(measured.attack, measured.confusion[split],
-                     getattr(checkpoint.metrics_row, f"ac_{SPLITS[split]}"))
-    else:
-        test_passes = measured.passes if SPLITS[split] == "test" else ()
-        found = next((p for p in test_passes if p.attack == attack), None)
+    name = SPLITS[split]
+    attack = measured.attack if attack is None else attack
+    found = next((p for p in measured.passes if p.split == name and p.attack == attack), None)
     if found is None or measured.params_sha256 != checkpoint.model.params.sha256():
         return None
-    if not np.array_equal(found.confusion.sum(axis=1),
-                          np.bincount(dataset.labels, minlength=len(found.confusion))):
-        raise CheckpointError(f"recorded {SPLITS[split]} counts do not give the split's "
-                              "class counts")
-    return found.confusion, found.ac
+    if len(found.preds) != len(dataset):
+        raise CheckpointError(f"a recorded {name} pass has {len(found.preds)} predictions "
+                              f"for {len(dataset)} rows")
+    confusion = confusion_counts(dataset.labels, found.preds, checkpoint.model.spec.num_classes)
+    accuracy = confusion_accuracy(confusion)
+    row = checkpoint.metrics_row
+    if attack == measured.attack and (accuracy, found.ac) != (
+            getattr(row, f"robust_acc_{name}"), getattr(row, f"ac_{name}")):
+        raise CheckpointError(f"the recorded {name} pass of the history row's attack does not "
+                              f"give robust_acc_{name} and ac_{name}")
+    if _moves_no_input(attack) and accuracy != getattr(row, f"clean_acc_{name}"):
+        raise CheckpointError(f"a recorded {name} pass that moves no input does not give "
+                              f"clean_acc_{name}")
+    return confusion, found.ac
 
 
 def record_pass(checkpoint: Checkpoint, dataset: Dataset, attack: AttackConfig) -> Checkpoint:
@@ -209,10 +232,10 @@ def record_pass(checkpoint: Checkpoint, dataset: Dataset, attack: AttackConfig) 
     the test split its record names, seeded by ``eval_rng``."""
     rng = eval_rng(attack, checkpoint.rng_state["base_seed"], checkpoint.epoch,
                    SPLITS.index("test"))
-    confusion, ac = attack_counts(checkpoint.model, dataset, attack, rng)
+    _, ac, preds = attacked_stats(checkpoint.model, dataset, attack, rng)
     measured = checkpoint.measured
     return replace(checkpoint, measured=replace(
-        measured, passes=measured.passes + (Pass(attack, confusion, ac),)))
+        measured, passes=measured.passes + (Pass("test", attack, preds, ac),)))
 
 
 def _descend(params: ParamVector, direction: ParamVector, size) -> ParamVector:
@@ -402,13 +425,13 @@ def eval_rng(attack: AttackConfig, base_seed, epoch, split):
 
 def evaluate_epoch(model: ModelState, train_set: Dataset, test_set: Dataset,
                    config: TrainConfig, epoch, wall_time_s=0.0, capped_batches=0):
-    """The epoch's history row and the confusion counts of its two attack
-    passes, train split first."""
+    """The epoch's history row and its two attack passes (``Pass``), train
+    split first."""
     atk = config.eval_attack
-    clean_tr, rob_tr, ac_tr, conf_tr = split_metrics(model, train_set, atk,
-                                                     eval_rng(atk, config.seed, epoch, 0))
-    clean_te, rob_te, ac_te, conf_te = split_metrics(model, test_set, atk,
-                                                     eval_rng(atk, config.seed, epoch, 1))
+    clean_tr, rob_tr, ac_tr, preds_tr = split_metrics(model, train_set, atk,
+                                                      eval_rng(atk, config.seed, epoch, 0))
+    clean_te, rob_te, ac_te, preds_te = split_metrics(model, test_set, atk,
+                                                      eval_rng(atk, config.seed, epoch, 1))
     row = MetricsRecord(
         epoch=epoch, method=config.method, lr=lr_at_epoch(config, epoch),
         clean_acc_train=clean_tr, clean_acc_test=clean_te,
@@ -416,7 +439,7 @@ def evaluate_epoch(model: ModelState, train_set: Dataset, test_set: Dataset,
         ac_train=ac_tr, ac_test=ac_te, wall_time_s=wall_time_s,
         capped_batches=capped_batches,
     )
-    return row, (conf_tr, conf_te)
+    return row, (Pass("train", atk, preds_tr, ac_tr), Pass("test", atk, preds_te, ac_te))
 
 
 def log_epoch(row: MetricsRecord, batches, label=""):
@@ -446,7 +469,7 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     passes split over the CPUs. The best checkpoint is the earliest one
     maximising held-out robust accuracy. Each history row counts the epoch's
     batches whose half step the Polyak cap cut (``capped_batches``). Each
-    checkpoint keeps its evaluation's confusion counts (``Measured``), so that
+    checkpoint keeps its evaluation's passes (``Measured``), so that
     a later pass of the same attack over the same data can be read instead
     of made (``recorded_confusion``). With ``resume_from``, training
     continues after that checkpoint's epoch and reproduces the uninterrupted
@@ -486,12 +509,12 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     def collect(epoch, model, momentum, evaluation):
         nonlocal last, best
         try:
-            row, confusion = evaluation()
+            row, passes = evaluation()
         except (AdvlabError, ArithmeticError) as exc:
             raise aborted(epoch, exc) from exc
         history.append(row)
         measured = Measured(config.eval_attack, (train_set.sha256, test_set.sha256),
-                            confusion, model.params.sha256())
+                            model.params.sha256(), passes)
         last = Checkpoint(model, epoch, momentum, _rng_record(config, epoch + 1), row,
                           measured)
         if best is None or row.robust_acc_test > best.metrics_row.robust_acc_test:
@@ -544,15 +567,20 @@ def _attack_record(attack: AttackConfig) -> dict:
             "domain_clamp": None if clamp is None else [float(v) for v in clamp]}
 
 
-def _measured_record(measured: Measured) -> dict:
-    record = {"attack": _attack_record(measured.attack)}
-    for name, digest, confusion in zip(SPLITS, measured.sha256, measured.confusion):
-        record[name] = {"sha256": digest, "confusion": confusion.tolist()}
-    if measured.params_sha256 is not None:
-        record["params_sha256"] = measured.params_sha256
-    record["passes"] = [{"attack": _attack_record(p.attack), "confusion": p.confusion.tolist(),
-                         "ac": float(p.ac)} for p in measured.passes]
-    return record
+def _preds_dtype(num_classes) -> np.dtype:
+    """The little-endian unsigned integer type of a recorded prediction: the
+    narrowest that holds ``num_classes - 1``."""
+    return np.dtype(np.min_scalar_type(num_classes - 1)).newbyteorder("<")
+
+
+def _measured_record(measured: Measured, num_classes) -> dict:
+    return {"attack": _attack_record(measured.attack),
+            "sha256": dict(zip(SPLITS, measured.sha256)),
+            "params_sha256": measured.params_sha256,
+            "passes": [{"split": p.split, "attack": _attack_record(p.attack),
+                        "preds": base64.b64encode(p.preds.astype(_preds_dtype(num_classes))
+                                                  .tobytes()).decode("ascii"),
+                        "ac": float(p.ac)} for p in measured.passes]}
 
 
 def _attack_from(record) -> AttackConfig:
@@ -567,58 +595,47 @@ def _attack_from(record) -> AttackConfig:
     return attack
 
 
-def _counts_from(rows, num_classes, what) -> np.ndarray:
-    """A K x K count matrix read back; ValueError unless it is a list of K
-    lists of K non-negative integers."""
-    if not (isinstance(rows, list) and len(rows) == num_classes
-            and all(isinstance(r, list) and len(r) == num_classes for r in rows)
-            and all(type(v) is int and v >= 0 for r in rows for v in r)):
-        raise ValueError(f"{what}: not a {num_classes} x {num_classes} matrix of "
-                         "non-negative integers")
-    return np.array(rows, dtype=np.int64)
+def _pass_from(entry, num_classes) -> Pass:
+    """A ``passes`` entry read back; ValueError or TypeError unless it is
+    what ``_measured_record`` writes, with predictions below ``num_classes``."""
+    if not (isinstance(entry, dict) and set(entry) == {"split", "attack", "preds", "ac"}):
+        raise ValueError("a measured pass must hold exactly split, attack, preds, ac")
+    if entry["split"] not in SPLITS:
+        raise ValueError(f"measured pass split {entry['split']!r} is not one of {SPLITS}")
+    ac = entry["ac"]
+    if not (type(ac) is float and 0.0 <= ac < float("inf")):
+        raise ValueError(f"measured pass ac {ac!r} is not a finite non-negative float")
+    if not isinstance(entry["preds"], str):
+        raise ValueError("measured pass preds is not a string")
+    preds = np.frombuffer(base64.b64decode(entry["preds"], validate=True),
+                          dtype=_preds_dtype(num_classes))
+    if preds.size and preds.max() >= num_classes:
+        raise ValueError(f"measured pass preds hold a class >= {num_classes}")
+    return Pass(entry["split"], _attack_from(entry["attack"]), preds, ac)
 
 
-def _measured_from(record, num_classes, metrics: MetricsRecord) -> Measured:
+def _measured_from(record, num_classes) -> Optional[Measured]:
     """The ``measured`` header key read back; ValueError or TypeError unless
-    it is what ``_measured_record`` writes, with counts that give the
-    metrics row's robust accuracies. ``params_sha256`` and ``passes`` may be
-    absent, as in records written before they were kept."""
-    if not (isinstance(record, dict) and {"attack", *SPLITS} <= set(record)
+    it is what ``_measured_record`` writes. A record in the counts format of
+    earlier versions (keys ``attack``, the splits, and ``params_sha256`` and
+    ``passes`` or not) is None: it is never read."""
+    if (isinstance(record, dict) and {"attack", *SPLITS} <= set(record)
             <= {"attack", *SPLITS, "params_sha256", "passes"}):
-        raise ValueError(f"measured must hold attack, {', '.join(SPLITS)} and at most "
-                         "params_sha256, passes")
-    digests, confusions = [], []
-    for name in SPLITS:
-        split = record[name]
-        if not isinstance(split, dict) or set(split) != {"sha256", "confusion"}:
-            raise ValueError(f"measured {name} must hold exactly sha256, confusion")
-        if not isinstance(split["sha256"], str):
-            raise ValueError(f"measured {name} sha256 is not a string")
-        rows = split["confusion"]
-        confusions.append(_counts_from(rows, num_classes, f"measured {name}"))
-        total = sum(map(sum, rows))
-        robust = getattr(metrics, f"robust_acc_{name}")
-        if total == 0 or sum(rows[j][j] for j in range(num_classes)) / total != robust:
-            raise ValueError(f"measured {name} counts do not give robust_acc_{name} {robust}")
-        digests.append(split["sha256"])
-    if not isinstance(record.get("params_sha256", ""), str):
+        return None
+    if not (isinstance(record, dict)
+            and set(record) == {"attack", "sha256", "params_sha256", "passes"}):
+        raise ValueError("measured must hold exactly attack, sha256, params_sha256, passes")
+    digests = record["sha256"]
+    if not (isinstance(digests, dict) and set(digests) == set(SPLITS)
+            and all(isinstance(d, str) for d in digests.values())):
+        raise ValueError(f"measured sha256 must map {', '.join(SPLITS)} to strings")
+    if not isinstance(record["params_sha256"], str):
         raise ValueError("measured params_sha256 is not a string")
-    entries = record.get("passes", [])
-    if not (isinstance(entries, list)
-            and all(isinstance(e, dict) and set(e) == {"attack", "confusion", "ac"}
-                    for e in entries)):
-        raise ValueError("measured passes must be a list of objects holding exactly "
-                         "attack, confusion, ac")
-    passes = []
-    for entry in entries:
-        ac = entry["ac"]
-        if not (type(ac) is float and 0.0 <= ac < float("inf")):
-            raise ValueError(f"measured pass ac {ac!r} is not a finite non-negative float")
-        passes.append(Pass(_attack_from(entry["attack"]),
-                           _counts_from(entry["confusion"], num_classes, "measured pass"),
-                           ac))
-    return Measured(_attack_from(record["attack"]), tuple(digests), tuple(confusions),
-                    record.get("params_sha256"), tuple(passes))
+    if not isinstance(record["passes"], list):
+        raise ValueError("measured passes is not a list")
+    return Measured(_attack_from(record["attack"]), tuple(digests[name] for name in SPLITS),
+                    record["params_sha256"],
+                    tuple(_pass_from(entry, num_classes) for entry in record["passes"]))
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
@@ -637,7 +654,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "segments": [[name, list(arr.shape)] for name, arr in checkpoint.model.params.items()],
     }
     if checkpoint.measured is not None:
-        header["measured"] = _measured_record(checkpoint.measured)
+        header["measured"] = _measured_record(checkpoint.measured, spec.num_classes)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     params = checkpoint.model.params.flatten().astype("<f8")
     buf = checkpoint.optimizer_momentum.flatten().astype("<f8")
@@ -679,7 +696,7 @@ def load_checkpoint(path) -> Checkpoint:
         metrics = MetricsRecord.from_dict(header["metrics"])
         epoch = int(header["epoch"])
         rng_state = {str(k): int(v) for k, v in header["rng"].items()}
-        measured = (_measured_from(header["measured"], spec.num_classes, metrics)
+        measured = (_measured_from(header["measured"], spec.num_classes)
                     if "measured" in header else None)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ConfigError,
             NumericError) as exc:

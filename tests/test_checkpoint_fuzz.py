@@ -2,9 +2,11 @@
 returns a checkpoint or raises ``CheckpointError``, and ``advlab eval`` exits
 0 or 4, never with a traceback. A mutation of the ``measured`` record that
 changes a value's JSON type, drops a key or an element, or adds one is always
-a ``CheckpointError``, except that dropping the weights' digest, the list of
-passes or one pass leaves a record as older checkpoints hold it."""
+a ``CheckpointError``, except that dropping one pass leaves a record that
+covers less. Whatever a pass's ``preds`` string holds, ``advlab eval`` and
+``advlab heatmap`` exit 0 or 4."""
 
+import base64
 import copy
 import json
 import struct
@@ -118,10 +120,8 @@ def test_any_header_loads_or_is_a_checkpoint_error(run, data):
 
 
 def optional(kind, path):
-    """Whether the mutation drops what a record may lack: ``params_sha256``,
-    ``passes`` or one of the passes."""
-    return kind == "remove" and (path in {("measured", "params_sha256"), ("measured", "passes")}
-                                 or path[:2] == ("measured", "passes") and len(path) == 3)
+    """Whether the mutation drops what a record may lack: one of the passes."""
+    return kind == "remove" and path[:2] == ("measured", "passes") and len(path) == 3
 
 
 def valid_clamp(path, value):
@@ -147,3 +147,50 @@ def test_a_broken_measured_record_is_a_checkpoint_error(run, data):
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
     assert eval_code(cfg, bad, root) == 4
+
+
+BASE64 = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="
+
+
+def edit_sequence(data, items, item):
+    """``items`` (a list) with 1 to 3 elements replaced, inserted or deleted,
+    each new one drawn from ``item``."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(items)))
+        kind = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "insert" or at == len(items):
+            items.insert(at, data.draw(item))
+        elif kind == "replace":
+            items[at] = data.draw(item)
+        else:
+            del items[at]
+    return items
+
+
+@FUZZ
+@given(data=st.data())
+def test_any_preds_string_loads_or_is_a_checkpoint_error(run, data):
+    # the string is edited as text, or its bytes are edited and encoded
+    # again: the latter keeps it base64 and reaches the checks at lookup
+    cfg, ckpt, header, root = run
+    mutated = copy.deepcopy(header)
+    entries = mutated["measured"]["passes"]
+    entry = entries[data.draw(st.integers(0, len(entries) - 1))]
+    if data.draw(st.booleans()):
+        chars = list(entry["preds"])
+        entry["preds"] = "".join(edit_sequence(data, chars, st.sampled_from(BASE64)
+                                               | st.characters()))
+    else:
+        raw = list(base64.b64decode(entry["preds"]))
+        entry["preds"] = base64.b64encode(
+            bytes(edit_sequence(data, raw, st.integers(0, 255)))).decode("ascii")
+    bad = root / "bad_preds.ckpt"
+    write(ckpt, mutated, bad)
+    try:
+        load_checkpoint(bad)
+        codes = (0, 4)
+    except CheckpointError:
+        codes = (4,)
+    assert eval_code(cfg, bad, root) in codes
+    assert main(["heatmap", "--config", str(cfg), "--checkpoint", str(bad),
+                 "--split", entry["split"], "--out", str(root / "heatmap")]) in codes

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import os
@@ -15,7 +16,7 @@ from advlab import train as train_mod
 from advlab.attack import AttackConfig
 from advlab.cli import main
 from advlab.config import load_config
-from advlab.diagnostics import robust_accuracy
+from advlab.diagnostics import confusion_counts, robust_accuracy
 from advlab.errors import ConfigError, DataFormatError, NumericError, ShapeError
 from advlab.objective import robust_grad
 from advlab.train import SPLITS, load_checkpoint
@@ -122,15 +123,31 @@ def edit_field(path, edit):
     return apply
 
 
-def edit_confusion(split, edit):
-    """A header edit that passes ``split``'s recorded counts through ``edit``."""
-    return edit_field(("measured", split, "confusion"), edit)
+# the recorded passes of a QUICK run, in the order written: the history row's
+# pass over each split, then [eval.clean]'s, the one pass made for
+# summary.json ([eval.pgd5] is [train.eval_attack])
+TRAIN_ROW, TEST_ROW, CLEAN = 0, 1, 2
+
+
+def decode_preds(text):
+    """A recorded pass's predicted labels: one byte per row, as QUICK's 3
+    classes take."""
+    return np.frombuffer(base64.b64decode(text), dtype=np.uint8).astype(np.int64)
+
+
+def edit_preds(index, edit):
+    """A header edit that passes the predicted labels of recorded pass
+    ``index`` through ``edit`` and writes them back one byte per row."""
+    def apply(text):
+        return base64.b64encode(np.asarray(edit(decode_preds(text)), dtype=np.uint8)
+                                .tobytes()).decode("ascii")
+    return edit_field(("measured", "passes", index, "preds"), apply)
 
 
 def edit_pass(key, edit):
-    """A header edit that passes field ``key`` of the first recorded test-split
-    pass (``[eval.clean]``'s) through ``edit``."""
-    return edit_field(("measured", "passes", 0, key), edit)
+    """A header edit that passes field ``key`` of the recorded ``[eval.clean]``
+    pass through ``edit``."""
+    return edit_field(("measured", "passes", CLEAN, key), edit)
 
 
 def drop_field(*path):
@@ -144,6 +161,26 @@ def drop_field(*path):
     return edit
 
 
+def set_class(row, label):
+    """A prediction edit that sets row ``row``'s label."""
+    def edit(preds):
+        preds = preds.copy()
+        preds[row] = label
+        return preds
+    return edit
+
+
+def one_wrong(labels):
+    """A prediction edit that moves the first correctly predicted row to the
+    next class: the same number of rows, one fewer right."""
+    def edit(preds):
+        preds = preds.copy()
+        row = np.flatnonzero(preds == labels)[0]
+        preds[row] = (labels[row] + 1) % 3
+        return preds
+    return edit
+
+
 MALFORMED = {
     "json_list_header": dict(edit_header=lambda h: [h]),
     # QUICK's w0 is 6 x 16, so the negated shape keeps the payload length
@@ -152,11 +189,13 @@ MALFORMED = {
     "nan_momentum": dict(nan_at=lambda n: n // 2),
     "nan_ac_train": dict(edit_header=set_field(("metrics", "ac_train"), float("nan"))),
     "repeated_segment_name": dict(edit_header=set_field(("segments", 1, 0), "w0")),
-    # the measured key: a wrong type, counts that are not a K x K matrix of
-    # non-negative integers, counts that disagree with the metrics row
+    # the measured key: a wrong type, a missing or extra key, predictions that
+    # are not base64 of classes below K, or that disagree with the split or
+    # the metrics row
     "measured_list": dict(edit_header=set_field(("measured",), [])),
     "measured_null": dict(edit_header=set_field(("measured",), None)),
-    "measured_without_train": dict(edit_header=drop_field("measured", "train")),
+    "measured_without_train": dict(edit_header=drop_field("measured", "sha256", "train")),
+    "measured_without_passes": dict(edit_header=drop_field("measured", "passes")),
     "measured_extra_key": dict(edit_header=set_field(("measured", "valid"), 1)),
     "measured_steps_text": dict(edit_header=set_field(("measured", "attack", "steps"), "5")),
     "measured_steps_float": dict(edit_header=set_field(("measured", "attack", "steps"), 5.0)),
@@ -167,43 +206,48 @@ MALFORMED = {
         ("measured", "attack", "random_start"), 0)),
     "measured_unknown_attack_field": dict(edit_header=set_field(
         ("measured", "attack", "restarts"), 2)),
-    "measured_sha256_number": dict(edit_header=set_field(("measured", "test", "sha256"), 5)),
-    "measured_short_confusion": dict(edit_header=edit_confusion("test", lambda c: c[:-1])),
-    "measured_ragged_confusion": dict(edit_header=edit_confusion(
-        "train", lambda c: [c[0] + [0]] + c[1:])),
-    "measured_negative_count": dict(edit_header=edit_confusion(
-        "test", lambda c: [[-1] + c[0][1:]] + c[1:])),
-    "measured_float_count": dict(edit_header=edit_confusion(
-        "test", lambda c: [[float(c[0][0])] + c[0][1:]] + c[1:])),
-    "measured_bool_count": dict(edit_header=edit_confusion(
-        "train", lambda c: [[True] + c[0][1:]] + c[1:])),
-    "measured_trace_not_the_row": dict(edit_header=set_field(("metrics", "robust_acc_test"),
-                                                             0.123456)),
-    # the same trace over sum, but no longer the split's class counts
-    "measured_doubled_counts": dict(edit_header=edit_confusion(
-        "test", lambda c: [[2 * v for v in row] for row in c])),
+    "measured_sha256_number": dict(edit_header=set_field(("measured", "sha256", "test"), 5)),
+    "measured_sha256_list": dict(edit_header=edit_field(("measured", "sha256"),
+                                                        lambda d: list(d.values()))),
+    "measured_short_preds": dict(edit_header=edit_preds(TEST_ROW, lambda p: p[:-1])),
+    "measured_preds_bad_padding": dict(edit_header=edit_field(
+        ("measured", "passes", TRAIN_ROW, "preds"), lambda t: t[:-1])),
+    "measured_preds_class_out_of_range": dict(edit_header=edit_preds(TEST_ROW,
+                                                                     set_class(0, 3))),
+    "measured_preds_list": dict(edit_header=edit_field(
+        ("measured", "passes", TEST_ROW, "preds"), lambda t: decode_preds(t).tolist())),
+    "measured_preds_not_base64": dict(edit_header=edit_field(
+        ("measured", "passes", TRAIN_ROW, "preds"), lambda t: t[:-4] + "AA*=")),
+    "measured_robust_acc_not_the_row": dict(edit_header=set_field(
+        ("metrics", "robust_acc_test"), 0.123456)),
+    "measured_ac_not_the_row": dict(edit_header=edit_field(
+        ("measured", "passes", TEST_ROW, "ac"), lambda ac: ac / 2)),
+    "measured_doubled_preds": dict(edit_header=edit_preds(TEST_ROW,
+                                                          lambda p: np.repeat(p, 2))),
     "epoch_infinite": dict(edit_header=set_field(("epoch",), float("inf"))),
     # the weights' digest and the passes made for summary.json
     "params_sha256_number": dict(edit_header=set_field(("measured", "params_sha256"), 5)),
     "params_sha256_null": dict(edit_header=set_field(("measured", "params_sha256"), None)),
+    "params_sha256_missing": dict(edit_header=drop_field("measured", "params_sha256")),
     "passes_object": dict(edit_header=set_field(("measured", "passes"), {})),
-    "pass_null": dict(edit_header=set_field(("measured", "passes", 0), None)),
-    "pass_without_ac": dict(edit_header=drop_field("measured", "passes", 0, "ac")),
-    "pass_extra_key": dict(edit_header=set_field(("measured", "passes", 0, "split"), "test")),
-    "pass_steps_text": dict(edit_header=set_field(("measured", "passes", 0, "attack", "steps"),
-                                                  "0")),
+    "pass_null": dict(edit_header=set_field(("measured", "passes", CLEAN), None)),
+    "pass_without_ac": dict(edit_header=drop_field("measured", "passes", CLEAN, "ac")),
+    # the key of the counts format that earlier versions wrote
+    "pass_unknown_key": dict(edit_header=set_field(("measured", "passes", CLEAN, "confusion"),
+                                                   [])),
+    "pass_split_unknown": dict(edit_header=edit_pass("split", lambda _: "valid")),
+    "pass_split_index": dict(edit_header=edit_pass("split", SPLITS.index)),
+    "pass_steps_text": dict(edit_header=set_field(("measured", "passes", CLEAN, "attack",
+                                                   "steps"), "0")),
     "pass_ac_int": dict(edit_header=edit_pass("ac", lambda ac: 1)),
     "pass_ac_text": dict(edit_header=edit_pass("ac", str)),
     "pass_ac_nan": dict(edit_header=edit_pass("ac", lambda ac: float("nan"))),
     "pass_ac_infinite": dict(edit_header=edit_pass("ac", lambda ac: float("inf"))),
     "pass_ac_negative": dict(edit_header=edit_pass("ac", lambda ac: -ac)),
-    "pass_short_confusion": dict(edit_header=edit_pass("confusion", lambda c: c[:-1])),
-    "pass_negative_count": dict(edit_header=edit_pass(
-        "confusion", lambda c: [[-1] + c[0][1:]] + c[1:])),
-    "pass_float_count": dict(edit_header=edit_pass(
-        "confusion", lambda c: [[float(c[0][0])] + c[0][1:]] + c[1:])),
-    "pass_doubled_counts": dict(edit_header=edit_pass(
-        "confusion", lambda c: [[2 * v for v in row] for row in c])),
+    "pass_short_preds": dict(edit_header=edit_preds(CLEAN, lambda p: p[:-1])),
+    "pass_preds_class_out_of_range": dict(edit_header=edit_preds(CLEAN, set_class(0, 255))),
+    "pass_preds_number": dict(edit_header=edit_pass("preds", lambda _: 5.0)),
+    "pass_doubled_preds": dict(edit_header=edit_preds(CLEAN, lambda p: np.repeat(p, 2))),
 }
 
 
@@ -254,34 +298,39 @@ class TestTrainCommand:
         # summary.json reads it from the history; clean takes one pass per
         # distinct checkpoint: best is last for seed 3, not for seed 5
         seen = []
-        counts = train_mod.attack_counts
+        stats = train_mod.attacked_stats
 
         def spy(model, dataset, atk, rng=None):
             seen.append(atk)
-            return counts(model, dataset, atk, rng)
+            return stats(model, dataset, atk, rng)
 
-        monkeypatch.setattr(train_mod, "attack_counts", spy)
+        monkeypatch.setattr(train_mod, "attacked_stats", spy)
         cfg, out = quick_config(**{"epochs = 2": "epochs = 3"})
         assert main(["train", "--config", str(cfg), "--seed", seed]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert (summary["best_epoch"] == summary["last_epoch"]) == (passes == 1)
-        assert seen == [load_config(cfg).eval_attacks["clean"]] * passes
-        # each checkpoint records the pass made at its weights
+        config = load_config(cfg)
+        assert seen == [config.eval_attacks["clean"]] * passes
+        # each checkpoint records its history row's passes, then the pass
+        # made at its weights
         for name in ("best", "last"):
-            assert [p.attack for p in load_checkpoint(out / f"{name}.ckpt").measured.passes] \
-                == [load_config(cfg).eval_attacks["clean"]]
+            assert [(p.split, p.attack)
+                    for p in load_checkpoint(out / f"{name}.ckpt").measured.passes] == [
+                ("train", config.train.eval_attack), ("test", config.train.eval_attack),
+                ("test", config.eval_attacks["clean"])]
 
     def test_checkpoints_written_when_a_summary_pass_fails(self, quick_config, monkeypatch,
                                                            capsys):
         def broken(*args):
             raise NumericError("attack blew up")
 
-        monkeypatch.setattr(train_mod, "attack_counts", broken)
+        monkeypatch.setattr(train_mod, "attacked_stats", broken)
         cfg, out = quick_config()
         assert main(["train", "--config", str(cfg)]) == 3
         assert capsys.readouterr().err == "numeric error: attack blew up\n"
         for name in ("best", "last"):
-            assert load_checkpoint(out / f"{name}.ckpt").measured.passes == ()
+            assert [p.split for p in load_checkpoint(out / f"{name}.ckpt").measured.passes] \
+                == list(SPLITS)
         assert not (out / "summary.json").exists()
 
     def test_summary_eval_attack_figures_are_the_history_rows(self, quick_config):
@@ -595,16 +644,23 @@ class TestRandomStartEvaluation:
                     == summary["eval_attacks"]["l2"][f"{name}_robust_acc"])
 
 
-def strip_measured(path, *keys):
-    """Rewrite a checkpoint in place without the ``measured`` key, or without
-    the named keys inside it: as checkpoints were written before they were
-    kept."""
+def strip_measured(path):
+    """Rewrite a checkpoint in place without the ``measured`` key, as
+    checkpoints were written before it was kept."""
     def drop(header):
-        if keys:
-            for key in keys:
-                header["measured"].pop(key, None)
-        else:
-            header.pop("measured", None)
+        header.pop("measured", None)
+        return header
+
+    rewrite_checkpoint(path, path, edit_header=drop)
+
+
+def strip_summary_passes(path):
+    """Rewrite a checkpoint in place with only its history row's passes
+    recorded, as if ``summary.json`` had made none."""
+    def drop(header):
+        measured = header["measured"]
+        measured["passes"] = [e for e in measured["passes"]
+                              if e["attack"] == measured["attack"]]
         return header
 
     rewrite_checkpoint(path, path, edit_header=drop)
@@ -691,7 +747,7 @@ class TestRecordedEvaluation:
             assert {k: report["attacks"][k]["robust_acc"] for k in config.eval_attacks} == {
                 k: summary["eval_attacks"][k][f"{name}_robust_acc"] for k in config.eval_attacks}
             # without the passes made for summary.json, they are made again
-            strip_measured(ckpt, "passes")
+            strip_summary_passes(ckpt)
             assert eval_outputs(cfg, ckpt, out / f"no_passes_{name}") == recorded
             assert passes == [("attacked_stats", atk) for atk in other_attacks]
             strip_measured(ckpt)
@@ -768,13 +824,70 @@ class TestRecordedEvaluation:
         assert load_checkpoint(out / "last.ckpt").measured is None
         assert self.fallback(cfg, out / "last.ckpt", out, passes, ["clean", "pgd5"])
 
-    def test_record_without_params_digest_is_not_read(self, quick_config, passes):
-        # as the record was written before the digest was kept
+    @pytest.mark.parametrize("with_passes", [False, True])
+    def test_counts_format_record_is_not_read(self, quick_config, passes, with_passes):
+        # the record as earlier versions wrote it: K x K confusion counts per
+        # split, and with or without the weights' digest and the passes made
+        # for summary.json, built here from the predictions
         cfg, out = quick_config()
         assert main(["train", "--config", str(cfg)]) == 0
-        strip_measured(out / "last.ckpt", "params_sha256")
-        assert load_checkpoint(out / "last.ckpt").measured.params_sha256 is None
-        assert self.fallback(cfg, out / "last.ckpt", out, passes, ["clean", "pgd5"])
+        datasets = load_config(cfg).build_datasets()
+
+        def counts_format(header):
+            measured = header["measured"]
+
+            def confusion(entry):
+                labels = datasets[SPLITS.index(entry["split"])].labels
+                return confusion_counts(labels, decode_preds(entry["preds"]), 3).tolist()
+
+            row = [e for e in measured["passes"] if e["attack"] == measured["attack"]]
+            record = {"attack": measured["attack"]}
+            for entry in row:
+                record[entry["split"]] = {"sha256": measured["sha256"][entry["split"]],
+                                          "confusion": confusion(entry)}
+            if with_passes:
+                record["params_sha256"] = measured["params_sha256"]
+                record["passes"] = [{"attack": e["attack"], "confusion": confusion(e),
+                                     "ac": e["ac"]}
+                                    for e in measured["passes"] if e not in row]
+            header["measured"] = record
+            return header
+
+        ckpt = out / "last.ckpt"
+        rewrite_checkpoint(ckpt, ckpt, edit_header=counts_format)
+        assert load_checkpoint(ckpt).measured is None
+        sweep = ["sweep", "--config", str(cfg), "--checkpoint", str(ckpt), "--etas", "0,0.05"]
+        assert main(sweep + ["--out", str(out / "sweep_counts")]) == 0
+        assert self.fallback(cfg, ckpt, out, passes, ["clean", "pgd5"])
+        assert main(sweep + ["--out", str(out / "sweep_stripped")]) == 0
+        assert ((out / "sweep_counts" / "sweep.csv").read_bytes()
+                == (out / "sweep_stripped" / "sweep.csv").read_bytes())
+
+    def test_false_clean_pass_is_refused(self, quick_config, tmp_path):
+        # [eval.clean] moves no input, so its accuracy must be the row's
+        # clean accuracy
+        cfg, out = quick_config()
+        assert main(["train", "--config", str(cfg)]) == 0
+        bad = tmp_path / "false.ckpt"
+        labels = load_config(cfg).build_datasets()[1].labels
+        rewrite_checkpoint(out / "last.ckpt", bad, edit_header=edit_preds(CLEAN,
+                                                                          one_wrong(labels)))
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad)]) == 4
+
+    @pytest.mark.parametrize("edit", ["one_wrong", "short"])
+    def test_false_history_pass_is_refused(self, quick_config, tmp_path, edit):
+        # the train-split pass of the history row must give its
+        # robust_acc_train and have a prediction per row; the test split's
+        # pass is still read
+        cfg, out = quick_config()
+        assert main(["train", "--config", str(cfg)]) == 0
+        bad = tmp_path / "false.ckpt"
+        labels = load_config(cfg).build_datasets()[0].labels
+        rewrite_checkpoint(out / "last.ckpt", bad, edit_header=edit_preds(
+            TRAIN_ROW, one_wrong(labels) if edit == "one_wrong" else lambda p: p[:-1]))
+        common = ["--config", str(cfg), "--checkpoint", str(bad)]
+        assert main(["heatmap", *common, "--split", "test"]) == 0
+        assert main(["heatmap", *common, "--split", "train"]) == 4
 
     def test_passes_are_read_on_the_test_split_only(self, quick_config):
         cfg, out = quick_config()
@@ -784,8 +897,10 @@ class TestRecordedEvaluation:
         ckpt = load_checkpoint(out / "last.ckpt")
         clean = config.eval_attacks["clean"]
         confusion, ac = train_mod.recorded_confusion(ckpt, 1, test_set, clean)
-        assert (confusion.tolist(), ac) == (ckpt.measured.passes[0].confusion.tolist(),
-                                            ckpt.measured.passes[0].ac)
+        recorded = ckpt.measured.passes[CLEAN]
+        assert (recorded.split, recorded.attack) == ("test", clean)
+        assert (confusion.tolist(), ac) == (
+            confusion_counts(test_set.labels, recorded.preds, 3).tolist(), recorded.ac)
         assert train_mod.recorded_confusion(ckpt, 0, train_set, clean) is None
 
     def test_record_on_other_weights_is_not_read(self, quick_config, passes, tmp_path):
@@ -857,12 +972,15 @@ class TestCheckpointCompat:
         assert sorted(documented) == sorted(written)
         measured = block.split('"measured": {', 1)[1]
         assert sorted(re.findall(r'(?m)^    "(\w+)":', measured)) == sorted(written["measured"])
-        split_keys = re.search(r'(?m)^    "test": (\{.*\}),?$', measured).group(1)
-        assert sorted(re.findall(r'"(\w+)":', split_keys)) == sorted(written["measured"]["test"])
-        entry = re.search(r'(?m)^      (\{.*\})$', measured).group(1)
-        assert sorted(re.findall(r'"(\w+)":', entry)) == sorted(written["measured"]["passes"][0])
+        digests = re.search(r'(?m)^    "sha256": (\{.*\}),?$', measured).group(1)
+        assert sorted(re.findall(r'"(\w+)":', digests)) == sorted(written["measured"]["sha256"])
+        entries = re.findall(r'(?m)^      (\{.*\}),?$', measured)
+        assert len(entries) == len(written["measured"]["passes"])
+        for entry, pass_written in zip(entries, written["measured"]["passes"]):
+            assert sorted(re.findall(r'"(\w+)":', entry)) == sorted(pass_written)
         # each record names every field of its attack, or a new field could
         # let another attack read it
         fields = sorted(f.name for f in dataclasses.fields(AttackConfig))
         assert sorted(written["measured"]["attack"]) == fields
-        assert sorted(written["measured"]["passes"][0]["attack"]) == fields
+        for pass_written in written["measured"]["passes"]:
+            assert sorted(pass_written["attack"]) == fields

@@ -95,11 +95,12 @@ class TestRobustAccuracy:
         model = init_model(ModelSpec(4, (8, 3), "relu", 0))
         ds = make_gaussian_mixture(3, 4, 30, 3.0, 0.8, seed=2)
         cfg = pgd_cfg(0.2)
-        clean, robust, ac, confusion = split_metrics(model, ds, cfg)
+        clean, robust, ac, preds = split_metrics(model, ds, cfg)
         assert clean == clean_accuracy(model, ds)
         assert robust == robust_accuracy(model, ds, cfg)
         assert ac == pytest.approx(dataset_certainty(model, ds, cfg), abs=1e-12)
-        _, _, preds = attacked_stats(model, ds, cfg)
+        assert np.array_equal(preds, attacked_stats(model, ds, cfg)[2])
+        confusion = confusion_counts(ds.labels, preds, 3)
         assert confusion.dtype == np.int64 and confusion.shape == (3, 3)
         assert np.array_equal(confusion.sum(axis=1), np.bincount(ds.labels, minlength=3))
         assert np.trace(confusion) / len(ds) == robust

@@ -18,9 +18,7 @@ from .config import ExperimentConfig, load_config
 from .data import Dataset
 from .diagnostics import (
     CSV_COLUMNS,
-    attacked_stats,
     clean_accuracy,
-    compute_heatmap,
     confusion_accuracy,
     heatmap_from_confusion,
     label_level_variance,
@@ -28,7 +26,7 @@ from .diagnostics import (
     stepsize_sweep,
 )
 # bench/tracing.py patches these
-from .diagnostics import dataset_certainty, robust_accuracy  # noqa: F401
+from .diagnostics import compute_heatmap, dataset_certainty, robust_accuracy  # noqa: F401
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -40,10 +38,9 @@ from .errors import (
 from .train import (
     SPLITS,
     Checkpoint,
-    eval_rng,
+    checkpoint_pass,
     load_checkpoint,
-    record_pass,
-    recorded_confusion,
+    record_fits,
     save_checkpoint,
     train_run,
 )
@@ -103,21 +100,17 @@ def write_sweep_csv(path, rows) -> None:
 def _summary(config: ExperimentConfig, history, best: Checkpoint, last: Checkpoint,
              test_set: Dataset):
     """(the run's figures, best, last). Each ``[eval.*]`` attack's robust
-    accuracy at a checkpoint is read through ``recorded_confusion``: from the
-    history row's pass or a pass made here, one per checkpoint and one in all
-    when the best checkpoint is the last. Each pass made here is recorded in
-    the checkpoint returned (``record_pass``)."""
+    accuracy at a checkpoint comes from ``checkpoint_pass``: the history
+    row's pass, or a pass made here, one per checkpoint and one in all when
+    the best checkpoint is the last, which the checkpoint returned records."""
     best_r, last_r, gap = overfitting_gap(history)
     ckpts = [best] if best is last else [best, last]
     per_attack = {}
     for name, atk in sorted(config.eval_attacks.items()):
         accs = []
         for i, ckpt in enumerate(ckpts):
-            recorded = recorded_confusion(ckpt, 1, test_set, atk)
-            if recorded is None:
-                ckpts[i] = ckpt = record_pass(ckpt, test_set, atk)
-                recorded = recorded_confusion(ckpt, 1, test_set, atk)
-            accs.append(confusion_accuracy(recorded[0]))
+            ckpts[i], confusion, _ = checkpoint_pass(ckpt, 1, test_set, atk)
+            accs.append(confusion_accuracy(confusion))
         per_attack[name] = {"best_robust_acc": accs[0], "last_robust_acc": accs[-1]}
     best, last = ckpts[0], ckpts[-1]
     summary = {
@@ -196,10 +189,20 @@ def _load_checkpoint_for(config: ExperimentConfig, path, train_set: Dataset) -> 
     return ckpt
 
 
+def _checkpoint_pass(path, checkpoint: Checkpoint, split, dataset: Dataset, attack):
+    """``checkpoint_pass`` of the checkpoint loaded from ``path``; a
+    ``CheckpointError`` names the path, as ``load_checkpoint``'s do."""
+    try:
+        return checkpoint_pass(checkpoint, split, dataset, attack)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
-    """Clean accuracy and each attack's figures on the test split. What the
-    checkpoint recorded on this split (``recorded_confusion``) is read; the
-    rest is one pass each."""
+    """Clean accuracy and each attack's figures on the test split. The clean
+    accuracy is the history row's when the checkpoint's record fits the split
+    (``record_fits``); each attack's figures come from ``checkpoint_pass``,
+    which reads a recorded pass or makes one."""
     config = load_config(args.config).with_overrides(out_dir=args.out)
     train_set, test_set = config.build_datasets()
     ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
@@ -207,20 +210,14 @@ def cmd_eval(args) -> int:
     report = {
         "checkpoint": str(args.checkpoint),
         "epoch": ckpt.epoch,
-        "clean_acc_test": (ckpt.metrics_row.clean_acc_test
-                           if recorded_confusion(ckpt, 1, test_set) is not None
+        "clean_acc_test": (ckpt.metrics_row.clean_acc_test if record_fits(ckpt, 1, test_set)
                            else clean_accuracy(ckpt.model, test_set)),
         "attacks": {},
     }
     print(f"checkpoint epoch {ckpt.epoch}: clean accuracy {report['clean_acc_test']:.4f}")
-    seed = ckpt.rng_state["base_seed"]
     for name, atk in sorted(attacks.items()):
-        recorded = recorded_confusion(ckpt, 1, test_set, atk)
-        if recorded is not None:
-            racc, ac = confusion_accuracy(recorded[0]), recorded[1]
-        else:
-            racc, ac, _ = attacked_stats(ckpt.model, test_set, atk,
-                                         eval_rng(atk, seed, ckpt.epoch, 1))
+        _, confusion, ac = _checkpoint_pass(args.checkpoint, ckpt, 1, test_set, atk)
+        racc = confusion_accuracy(confusion)
         report["attacks"][name] = {"robust_acc": racc, "ac": ac}
         print(f"  {name}: robust accuracy {racc:.4f}, certainty {ac:.4f}")
     out_dir = Path(config.out_dir)
@@ -233,20 +230,15 @@ def cmd_eval(args) -> int:
 
 def cmd_heatmap(args) -> int:
     """The heatmap and label-level variance of ``[train.eval_attack]`` on one
-    split: the counts of the checkpoint's recorded predictions when they
-    match (``recorded_confusion``), else one pass."""
+    split, from the counts of ``checkpoint_pass``."""
     config = load_config(args.config).with_overrides(out_dir=args.out)
     train_set, test_set = config.build_datasets()
     ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
     split = SPLITS.index(args.split)
     dataset = (train_set, test_set)[split]
-    atk = config.train.eval_attack
-    recorded = recorded_confusion(ckpt, split, dataset, atk)
-    if recorded is not None:
-        hm = heatmap_from_confusion(recorded[0])
-    else:
-        rng = eval_rng(atk, ckpt.rng_state["base_seed"], ckpt.epoch, split)
-        hm = compute_heatmap(ckpt.model, dataset, atk, rng)
+    _, confusion, _ = _checkpoint_pass(args.checkpoint, ckpt, split, dataset,
+                                       config.train.eval_attack)
+    hm = heatmap_from_confusion(confusion)
     variances = label_level_variance(hm)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

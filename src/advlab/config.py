@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .attack import KINDS, NORMS, AttackConfig
-from .data import Dataset, SplitSpec, default_benchmark, load_idx_images, make_gaussian_mixture, split
+from .data import Dataset, SplitSpec, default_benchmark, gaussian_mixture_pair, load_idx_images, split
 from .errors import ConfigError
 from .netcore import ACTIVATIONS, ModelSpec
 from .objective import OBJECTIVE_KINDS, ObjectiveKind
@@ -178,17 +178,9 @@ class DatasetSection:
         if self.kind == "benchmark":
             return default_benchmark(o.get("seed"))
         if self.kind == "gaussian_mixture":
-            base = int(o["seed"])
-            common = (o["classes"], o["dim"])
-            train = make_gaussian_mixture(
-                *common, o["train_per_class"], o["separation"], o["noise_std"],
-                seed=np.random.SeedSequence([base, 0]).generate_state(1)[0],
-                name="mixture/train")
-            test = make_gaussian_mixture(
-                *common, o["test_per_class"], o["separation"], o["noise_std"],
-                seed=np.random.SeedSequence([base, 1]).generate_state(1)[0],
-                name="mixture/test")
-            return train, test
+            return gaussian_mixture_pair(o["classes"], o["dim"], o["train_per_class"],
+                                         o["test_per_class"], o["separation"], o["noise_std"],
+                                         o["seed"], "mixture")
         full = load_idx_images(o["images"], o["labels"], o.get("downsample_to"))
         return split(full, SplitSpec(o["train_fraction"], o["shuffle_seed"]))
 

@@ -241,22 +241,21 @@ BENCHMARK = dict(
 )
 
 
+def gaussian_mixture_pair(num_classes, dim, train_per_class, test_per_class,
+                          class_separation, noise_std, seed, name):
+    """``make_gaussian_mixture``'s (train, test) pair, named ``name/train`` and
+    ``name/test``, each seeded from ``seed`` and its index in that order."""
+    return tuple(
+        make_gaussian_mixture(num_classes, dim, per_class, class_separation, noise_std,
+                              seed=np.random.SeedSequence([int(seed), i]).generate_state(1)[0],
+                              name=f"{name}/{side}")
+        for i, (side, per_class) in enumerate((("train", train_per_class),
+                                               ("test", test_per_class))))
+
+
 def default_benchmark(seed=None):
     """The bundled benchmark as a (train, test) pair; see ``BENCHMARK``."""
     cfg = dict(BENCHMARK)
     if seed is not None:
         cfg["seed"] = seed
-    base = int(cfg["seed"])
-    train = make_gaussian_mixture(
-        cfg["num_classes"], cfg["dim"], cfg["train_per_class"],
-        cfg["class_separation"], cfg["noise_std"],
-        seed=np.random.SeedSequence([base, 0]).generate_state(1)[0],
-        name="benchmark/train",
-    )
-    test = make_gaussian_mixture(
-        cfg["num_classes"], cfg["dim"], cfg["test_per_class"],
-        cfg["class_separation"], cfg["noise_std"],
-        seed=np.random.SeedSequence([base, 1]).generate_state(1)[0],
-        name="benchmark/test",
-    )
-    return train, test
+    return gaussian_mixture_pair(**cfg, name="benchmark")

@@ -19,7 +19,6 @@ from .autodiff import (
     ce_rows_value,
     kl_rows_grad,
     kl_rows_value,
-    log_softmax_rows,
     row_std_grad,
     row_std_value,
 )
@@ -145,17 +144,3 @@ def certainty_value(model: ModelState, adv_inputs) -> float:
     value-only oracle of the certainty the gradient functions return."""
     return float(row_std_value(forward_logits(model, as_f64(adv_inputs))).mean())
 
-
-__all__ = [
-    "ObjectiveKind",
-    "CertaintyReport",
-    "var_functional",
-    "cross_entropy",
-    "trades_loss",
-    "robust_loss",
-    "adversarial_certainty",
-    "grad_certainty_frozen",
-    "certainty_value",
-    "robust_grad",
-    "log_softmax_rows",
-]

@@ -186,35 +186,46 @@ def _moves_no_input(attack: AttackConfig) -> bool:
                                 and not attack.random_start))
 
 
-def recorded_confusion(checkpoint: Checkpoint, split, dataset: Dataset,
-                       attack: Optional[AttackConfig] = None):
-    """(confusion counts, mean certainty) of a pass recorded with the
-    checkpoint over split ``split`` (an index into ``SPLITS``), or None.
-
-    A pass is returned when the checkpoint's weights have the recorded
-    sha256, ``dataset`` has the sha256 of the split that was attacked and a
-    pass over that split has ``attack``, or the history row's attack when
-    ``attack`` is None. Then one pass of that attack over ``dataset``, seeded
-    by ``eval_rng``, would repeat it bit for bit; with ``attack`` None the
-    row's clean accuracy is the split's too. On None the caller makes the
-    pass. The counts are ``confusion_counts`` of the recorded predictions.
-    A pass that has not one prediction per row, that does not give the row's
-    robust accuracy and certainty when it is the row's pass, or that does not
-    give the row's clean accuracy when its attack moves no input
-    (``_moves_no_input``) raises ``CheckpointError``.
-    """
+def record_fits(checkpoint: Checkpoint, split, dataset: Dataset) -> bool:
+    """Whether the checkpoint's record was made at its weights over
+    ``dataset`` as split ``split`` (an index into ``SPLITS``), so that its
+    history row's figures on that split are ``dataset``'s."""
     measured = checkpoint.measured
-    if measured is None or measured.sha256[split] != dataset.sha256:
-        return None
+    return (measured is not None and measured.sha256[split] == dataset.sha256
+            and measured.params_sha256 == checkpoint.model.params.sha256())
+
+
+def checkpoint_pass(checkpoint: Checkpoint, split, dataset: Dataset, attack: AttackConfig):
+    """(checkpoint, confusion counts, mean certainty) of the pass of
+    ``attack`` over ``dataset`` as split ``split`` (an index into ``SPLITS``)
+    at the checkpoint's weights, seeded by ``eval_rng``.
+
+    When the record fits (``record_fits``) and holds a pass of ``attack``
+    over that split, the pass is read: made again, it would repeat that one
+    bit for bit. Otherwise it is made, and when the record fits, the
+    checkpoint returned records it. The counts are ``confusion_counts`` of
+    the predictions. A pass read that has not one prediction per row, that
+    does not give the row's robust accuracy and certainty when it is the
+    row's pass, or that does not give the row's clean accuracy when its
+    attack moves no input (``_moves_no_input``) raises ``CheckpointError``.
+    """
     name = SPLITS[split]
-    attack = measured.attack if attack is None else attack
-    found = next((p for p in measured.passes if p.split == name and p.attack == attack), None)
-    if found is None or measured.params_sha256 != checkpoint.model.params.sha256():
-        return None
+    measured = checkpoint.measured
+    fits = record_fits(checkpoint, split, dataset)
+    found = next((p for p in measured.passes if p.split == name and p.attack == attack),
+                 None) if fits else None
+    num_classes = checkpoint.model.spec.num_classes
+    if found is None:
+        rng = eval_rng(attack, checkpoint.rng_state["base_seed"], checkpoint.epoch, split)
+        _, ac, preds = attacked_stats(checkpoint.model, dataset, attack, rng)
+        if fits:
+            checkpoint = replace(checkpoint, measured=replace(
+                measured, passes=measured.passes + (Pass(name, attack, preds, ac),)))
+        return checkpoint, confusion_counts(dataset.labels, preds, num_classes), ac
     if len(found.preds) != len(dataset):
         raise CheckpointError(f"a recorded {name} pass has {len(found.preds)} predictions "
                               f"for {len(dataset)} rows")
-    confusion = confusion_counts(dataset.labels, found.preds, checkpoint.model.spec.num_classes)
+    confusion = confusion_counts(dataset.labels, found.preds, num_classes)
     accuracy = confusion_accuracy(confusion)
     row = checkpoint.metrics_row
     if attack == measured.attack and (accuracy, found.ac) != (
@@ -224,18 +235,7 @@ def recorded_confusion(checkpoint: Checkpoint, split, dataset: Dataset,
     if _moves_no_input(attack) and accuracy != getattr(row, f"clean_acc_{name}"):
         raise CheckpointError(f"a recorded {name} pass that moves no input does not give "
                               f"clean_acc_{name}")
-    return confusion, found.ac
-
-
-def record_pass(checkpoint: Checkpoint, dataset: Dataset, attack: AttackConfig) -> Checkpoint:
-    """The checkpoint with one more recorded pass: ``attack`` over ``dataset``,
-    the test split its record names, seeded by ``eval_rng``."""
-    rng = eval_rng(attack, checkpoint.rng_state["base_seed"], checkpoint.epoch,
-                   SPLITS.index("test"))
-    _, ac, preds = attacked_stats(checkpoint.model, dataset, attack, rng)
-    measured = checkpoint.measured
-    return replace(checkpoint, measured=replace(
-        measured, passes=measured.passes + (Pass("test", attack, preds, ac),)))
+    return checkpoint, confusion, found.ac
 
 
 def _descend(params: ParamVector, direction: ParamVector, size) -> ParamVector:
@@ -471,7 +471,7 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     batches whose half step the Polyak cap cut (``capped_batches``). Each
     checkpoint keeps its evaluation's passes (``Measured``), so that
     a later pass of the same attack over the same data can be read instead
-    of made (``recorded_confusion``). With ``resume_from``, training
+    of made (``checkpoint_pass``). With ``resume_from``, training
     continues after that checkpoint's epoch and reproduces the uninterrupted
     run bitwise; the resumed checkpoint starts as the incumbent best. Its
     ``base_seed`` must equal ``config.seed``, or the two halves would come from

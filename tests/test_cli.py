@@ -679,20 +679,22 @@ def eval_outputs(cfg, ckpt, out):
 @pytest.fixture
 def passes(monkeypatch):
     """The passes that eval and heatmap make, as (function, attack) in call
-    order; a clean-accuracy pass has attack None."""
+    order: an attack pass is ``train.attacked_stats``, which
+    ``checkpoint_pass`` calls, and a clean-accuracy pass is
+    ``cli.clean_accuracy``, with attack None."""
     seen = []
 
-    def spy(name):
-        fn = getattr(cli, name)
+    def spy(owner, name):
+        fn = getattr(owner, name)
 
         def counted(model, dataset, *rest):
             seen.append((name, rest[0] if rest else None))
             return fn(model, dataset, *rest)
 
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in ("attacked_stats", "compute_heatmap", "clean_accuracy"):
-        spy(name)
+    spy(train_mod, "attacked_stats")
+    spy(cli, "clean_accuracy")
     return seen
 
 
@@ -755,7 +757,7 @@ class TestRecordedEvaluation:
             attacked = eval_outputs(cfg, ckpt, out / f"attacked_{name}")
             assert passes == [("clean_accuracy", None),
                               *(("attacked_stats", atk) for atk in attacks),
-                              *[("compute_heatmap", config.train.eval_attack)] * 2]
+                              *[("attacked_stats", config.train.eval_attack)] * 2]
             assert recorded == attacked
 
     def fallback(self, cfg, ckpt, out, passes, attacked):
@@ -771,7 +773,7 @@ class TestRecordedEvaluation:
         passes.clear()
         assert eval_outputs(cfg, ckpt, out / "attacked") == recorded
         config = load_config(cfg)
-        heatmaps = [("compute_heatmap", config.train.eval_attack)] * 2
+        heatmaps = [("attacked_stats", config.train.eval_attack)] * 2
         assert passes == [("clean_accuracy", None),
                           *(("attacked_stats", atk)
                             for _, atk in sorted(config.eval_attacks.items())), *heatmaps]
@@ -811,6 +813,7 @@ class TestRecordedEvaluation:
                                              f"labels = {lp}\ntrain_fraction = 0.75\n\n"))
         assert main(["train", "--config", str(cfg)]) == 0
         ckpt = tmp_path / "run" / "last.ckpt"
+        passes.clear()
         eval_outputs(cfg, ckpt, tmp_path / "unchanged")
         assert passes == []
         images[:, 0, 0] ^= 1  # one bit in each image, so both splits change
@@ -889,19 +892,40 @@ class TestRecordedEvaluation:
         assert main(["heatmap", *common, "--split", "test"]) == 0
         assert main(["heatmap", *common, "--split", "train"]) == 4
 
-    def test_passes_are_read_on_the_test_split_only(self, quick_config):
+    def test_lookup_error_names_the_checkpoint(self, quick_config, capsys):
+        # the test pass of the history row is one row short: eval and the
+        # test heatmap refuse it, as load_checkpoint refuses a bad header
+        cfg, out = quick_config()
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = out / "last.ckpt"
+        rewrite_checkpoint(ckpt, ckpt, edit_header=edit_preds(TEST_ROW, lambda p: p[:-1]))
+        capsys.readouterr()
+        common = ["--config", str(cfg), "--checkpoint", str(ckpt)]
+        for command in (["eval", *common], ["heatmap", *common, "--split", "test"]):
+            assert main(command) == 4
+            assert capsys.readouterr().err == (
+                f"checkpoint error: {ckpt}: a recorded test pass has 59 predictions "
+                "for 60 rows\n")
+
+    def test_passes_are_read_on_the_test_split_only(self, quick_config, passes):
         cfg, out = quick_config()
         assert main(["train", "--config", str(cfg)]) == 0
         config = load_config(cfg)
         train_set, test_set = config.build_datasets()
         ckpt = load_checkpoint(out / "last.ckpt")
         clean = config.eval_attacks["clean"]
-        confusion, ac = train_mod.recorded_confusion(ckpt, 1, test_set, clean)
+        passes.clear()
+        read, confusion, ac = train_mod.checkpoint_pass(ckpt, 1, test_set, clean)
+        assert read is ckpt and passes == []
         recorded = ckpt.measured.passes[CLEAN]
         assert (recorded.split, recorded.attack) == ("test", clean)
         assert (confusion.tolist(), ac) == (
             confusion_counts(test_set.labels, recorded.preds, 3).tolist(), recorded.ac)
-        assert train_mod.recorded_confusion(ckpt, 0, train_set, clean) is None
+        # the train split's pass of [eval.clean] is made, and recorded
+        made, _, _ = train_mod.checkpoint_pass(ckpt, 0, train_set, clean)
+        assert passes == [("attacked_stats", clean)]
+        assert [(p.split, p.attack) for p in made.measured.passes] == [
+            (p.split, p.attack) for p in ckpt.measured.passes] + [("train", clean)]
 
     def test_record_on_other_weights_is_not_read(self, quick_config, passes, tmp_path):
         # best.ckpt's header on last.ckpt's payload gives last's figures
@@ -920,7 +944,7 @@ class TestRecordedEvaluation:
         assert passes == [("clean_accuracy", None),
                           *(("attacked_stats", atk)
                             for _, atk in sorted(config.eval_attacks.items())),
-                          *[("compute_heatmap", config.train.eval_attack)] * 2]
+                          *[("attacked_stats", config.train.eval_attack)] * 2]
         want = eval_outputs(cfg, out / "last.ckpt", tmp_path / "last")
         report, want_report = (json.loads(files.pop("eval.json")) for files in (got, want))
         assert report.pop("epoch") == load_checkpoint(out / "best.ckpt").epoch

@@ -1,7 +1,8 @@
 """Small dense MLP classifiers with exact parameter and input gradients.
 
-Arrays are 64-bit floats throughout; model parameters are immutable once
-constructed, so states can be shared freely between threads and attacks.
+Arrays are 64-bit floats throughout; model parameters and their gradients
+are read-only flat vectors with named segment views (``ParamVector``), so
+states can be shared freely between threads and attacks.
 One layer loop (``_forward``) computes every forward pass; ``DiffModel``
 records its layer inputs and pre-activations, and ``backward`` carries a
 gradient with respect to the logits back to the parameters or the input.
@@ -24,138 +25,119 @@ MAX_ARRAY_BYTES = np.iinfo(np.intp).max
 
 
 class ParamVector:
-    """Ordered, named collection of parameter arrays (weights/biases per layer).
+    """Ordered, named parameter arrays (weights/biases per layer), stored as
+    one read-only float64 vector in layout order; each named segment is a
+    view of it, and ``flatten`` returns it with no copy.
 
     Two vectors with the same layout support elementwise ``+``/``-`` and
-    scalar ``*``; ``flatten``/``unflatten`` round-trip exactly. Every array is
-    read-only. The constructor copies its arrays, which come from outside; a
-    result the class computes itself is kept as computed, with no second copy.
+    scalar ``*``, each one pass over the vector into one fresh array;
+    ``flatten``/``unflatten`` round-trip exactly. The constructor and
+    ``unflatten`` copy their arrays, which come from outside; ``views``
+    adopts a vector its caller has just made.
     """
 
-    __slots__ = ("_names", "_arrays", "_sha256")
+    __slots__ = ("_flat", "_layout", "_arrays", "_sha256")
 
     def __init__(self, segments):
-        self._keep((name, as_f64(arr).copy()) for name, arr in segments)
+        segments = [(name, as_f64(arr)) for name, arr in segments]
+        self._keep(np.concatenate([a.reshape(-1) for _, a in segments] or [np.zeros(0)]),
+                   tuple((name, a.shape) for name, a in segments))
 
-    def _keep(self, segments):
-        names = []
-        arrays = {}
-        for name, a in segments:
-            if name in arrays:
-                raise ConfigError(f"duplicate parameter segment {name!r}")
-            a.setflags(write=False)
-            names.append(name)
-            arrays[name] = a
-        self._names = tuple(names)
-        self._arrays = arrays
+    def _keep(self, flat, layout):
+        flat.setflags(write=False)
+        self._flat = flat
+        self._layout = tuple(layout)
+        self._arrays = _segment_views(flat, self._layout)
         self._sha256 = None
 
     @classmethod
-    def _adopt(cls, segments):
-        """A vector over arrays just allocated for it: kept, not copied."""
+    def views(cls, flat, layout) -> "ParamVector":
+        """A vector over the 1-D float64 array ``flat``, which its caller has
+        just made: made read-only and kept, with no copy. ``flat`` holds
+        exactly the values of ``layout``, a sequence of (name, shape)."""
         pv = cls.__new__(cls)
-        pv._keep(segments)
+        pv._keep(flat, layout)
         return pv
 
     @property
     def names(self):
-        return self._names
+        return tuple(self._arrays)
 
     def items(self):
-        for name in self._names:
-            yield name, self._arrays[name]
+        return self._arrays.items()
 
     def __getitem__(self, name):
         return self._arrays[name]
 
-    def __len__(self):
-        return len(self._names)
-
     def size(self) -> int:
-        return sum(a.size for a in self._arrays.values())
+        return self._flat.size
 
     def layout(self):
-        return tuple((n, self._arrays[n].shape) for n in self._names)
+        return self._layout
 
     def _check_layout(self, other: "ParamVector"):
-        if self.layout() != other.layout():
+        if self._layout != other._layout:
             raise ShapeError("parameter vectors have different layouts")
 
-    def map(self, fn, *others):
-        """The vector of ``fn(segment, *the same segment of each of others)``.
-
-        ``fn`` must return an array it has just allocated: the result keeps
-        it without a copy and makes it read-only."""
-        for other in others:
-            self._check_layout(other)
-        return ParamVector._adopt(
-            (n, fn(self._arrays[n], *(o._arrays[n] for o in others))) for n in self._names
-        )
-
     def __add__(self, other):
-        return self.map(np.add, other)
+        self._check_layout(other)
+        return ParamVector.views(self._flat + other._flat, self._layout)
 
     def __sub__(self, other):
-        return self.map(np.subtract, other)
+        self._check_layout(other)
+        return ParamVector.views(self._flat - other._flat, self._layout)
 
     def __mul__(self, c):
-        c = float(c)
-        return self.map(lambda a: a * c)
+        return ParamVector.views(self._flat * float(c), self._layout)
 
     __rmul__ = __mul__
 
     def zeros_like(self):
-        return self.map(np.zeros_like)
+        return ParamVector.views(np.zeros_like(self._flat), self._layout)
 
     def flatten(self) -> np.ndarray:
-        if not self._names:
-            return np.zeros(0)
-        return np.concatenate([self._arrays[n].reshape(-1) for n in self._names])
+        return self._flat
 
     def unflatten(self, flat) -> "ParamVector":
-        """Rebuild a vector with this layout from a flat array."""
-        flat = as_f64(flat).reshape(-1)
-        if flat.size != self.size():
-            raise ShapeError(f"expected {self.size()} values, got {flat.size}")
-        return ParamVector(ParamVector.views(flat, self.layout()).items())
+        """A vector with this layout over a copy of the flat array ``flat``."""
+        return ParamVector.views(as_f64(flat).reshape(-1).copy(), self._layout)
 
     def sha256(self) -> str:
-        """Hex sha256 of the segments' bytes in order, as little-endian float64:
-        the parameter bytes a checkpoint stores. The arrays are read-only, so
-        it is computed once."""
+        """Hex sha256 of the flat vector as little-endian float64: the
+        parameter bytes a checkpoint stores. The vector is read-only, so it
+        is computed once."""
         if self._sha256 is None:
             import hashlib  # imported here: not on the command-line start-up path
 
-            digest = hashlib.sha256()
-            for name in self._names:
-                digest.update(np.ascontiguousarray(self._arrays[name], dtype="<f8"))
-            self._sha256 = digest.hexdigest()
+            flat = np.ascontiguousarray(self._flat, dtype="<f8")
+            self._sha256 = hashlib.sha256(flat).hexdigest()
         return self._sha256
 
-    @classmethod
-    def views(cls, flat, layout) -> "ParamVector":
-        """A vector of read-only views into the 1-D array ``flat``, one per
-        (name, shape) of ``layout`` in order, with no copy; ``flat`` holds
-        exactly the layout's values."""
-        out = []
-        pos = 0
-        for name, shape in layout:
-            size = math.prod(shape)
-            out.append((name, flat[pos : pos + size].reshape(shape)))
-            pos += size
-        return cls._adopt(out)
-
     def allfinite(self) -> bool:
-        return all(np.isfinite(a).all() for a in self._arrays.values())
+        return bool(np.isfinite(self._flat).all())
 
     def equals(self, other: "ParamVector") -> bool:
         """Bitwise equality of all segments."""
-        if self.layout() != other.layout():
-            return False
-        return all(np.array_equal(self._arrays[n], other._arrays[n]) for n in self._names)
+        return self._layout == other._layout and np.array_equal(self._flat, other._flat)
 
     def __repr__(self):
-        return f"ParamVector({self.layout()})"
+        return f"ParamVector({self._layout})"
+
+
+def _segment_views(flat, layout) -> dict:
+    """{name: view of the 1-D array ``flat``} for each (name, shape) of
+    ``layout`` in order, with no copy; ``flat`` holds exactly their values."""
+    views = {}
+    pos = 0
+    for name, shape in layout:
+        if name in views:
+            raise ConfigError(f"duplicate parameter segment {name!r}")
+        size = math.prod(shape)
+        views[name] = flat[pos : pos + size].reshape(shape)
+        pos += size
+    if pos != flat.size:
+        raise ShapeError(f"expected {pos} values, got {flat.size}")
+    return views
 
 
 @dataclass(frozen=True)
@@ -325,23 +307,26 @@ def backward(dm: DiffModel, dlogits, inputs=False):
     recorded forward pass.
 
     Returns the gradient with respect to every parameter as a ParamVector
-    or, with ``inputs``, the gradient with respect to the recorded input
-    rows, the parameters held fixed. Either comes back in fresh arrays; the
-    hidden layers' gradients reuse ``dm``'s buffers.
+    over one fresh flat array, each layer's segments written in place, or,
+    with ``inputs``, the gradient with respect to the recorded input rows,
+    the parameters held fixed, in a fresh array. The hidden layers'
+    gradients reuse ``dm``'s buffers.
     """
     params = dm.model.params
     use_relu = dm.model.spec.activation == "relu"
-    grads = {}
+    if not inputs:
+        flat = np.empty(params.size())
+        grads = _segment_views(flat, params.layout())
     g = dlogits
     n = g.shape[0]
     for i in reversed(range(len(dm.tape))):
         x, _ = dm.tape[i]
         w = params[f"w{i}"]
         if not inputs:
-            grads[f"w{i}"] = x.T @ g
-            grads[f"b{i}"] = g.sum(axis=0)
+            np.matmul(x.T, g, out=grads[f"w{i}"])
+            g.sum(axis=0, out=grads[f"b{i}"])
             if i == 0:
-                return ParamVector._adopt((name, grads[name]) for name in params.names)
+                return ParamVector.views(flat, params.layout())
         if i == 0:
             return g @ w.T
         g = np.matmul(g, w.T, out=dm._buffer(("grad", i), n, w.shape[0]))

@@ -239,26 +239,18 @@ def checkpoint_pass(checkpoint: Checkpoint, split, dataset: Dataset, attack: Att
 
 
 def _descend(params: ParamVector, direction: ParamVector, size) -> ParamVector:
-    """``params - direction * size``, each segment computed into one fresh array."""
-    size = float(size)
-
-    def segment(p, d):
-        step = d * size
-        return np.subtract(p, step, out=step)
-
-    return params.map(segment, direction)
+    """``params - direction * size``, computed into one fresh flat array."""
+    params._check_layout(direction)
+    step = direction.flatten() * float(size)
+    return ParamVector.views(np.subtract(params.flatten(), step, out=step), params.layout())
 
 
 def sgd_step(params: ParamVector, grad: ParamVector, lr, momentum, momentum_buffer):
     """Classical momentum update: v <- m*v + g, theta <- theta - lr*v."""
-    momentum = float(momentum)
-
-    def velocity(b, g):
-        v = b * momentum
-        v += g
-        return v
-
-    v = momentum_buffer.map(velocity, grad)
+    momentum_buffer._check_layout(grad)
+    v = momentum_buffer.flatten() * float(momentum)
+    v += grad.flatten()
+    v = ParamVector.views(v, momentum_buffer.layout())
     return _descend(params, v, lr), v
 
 
@@ -346,7 +338,7 @@ def edac_update(model: ModelState, batch: Batch, config: TrainConfig, opt_state:
     g_ac, ac_before = grad_certainty_frozen(model, adv0.perturbed)
     flat = g_ac.flatten()
     # numpy's pairwise sum: a BLAS dot splits the sum by thread count
-    g_sq = float(np.multiply(flat, flat, out=flat).sum())
+    g_sq = float(np.multiply(flat, flat).sum())
     capped = g_sq > 0.0 and ac_before / g_sq < eta
     if capped:
         eta = ac_before / g_sq
@@ -583,21 +575,25 @@ def _measured_record(measured: Measured, num_classes) -> dict:
                         "ac": float(p.ac)} for p in measured.passes]}
 
 
-def _attack_from(record) -> AttackConfig:
+def _attack_from(record, parsed) -> AttackConfig:
     """An attack record read back; ValueError or TypeError unless it is what
-    ``_attack_record`` writes."""
-    clamp = record["domain_clamp"]
-    attack = AttackConfig(**{**record, "domain_clamp": tuple(clamp)
-                             if isinstance(clamp, list) else clamp})
-    if (json.dumps(_attack_record(attack), sort_keys=True, allow_nan=False)
-            != json.dumps(record, sort_keys=True, allow_nan=False)):
-        raise ValueError(f"measured attack {record} has a field of the wrong type")
-    return attack
+    ``_attack_record`` writes. ``parsed`` maps the JSON text of each record
+    read so far to its attack, so that each distinct record is parsed once."""
+    text = json.dumps(record, sort_keys=True, allow_nan=False)
+    if text not in parsed:
+        clamp = record["domain_clamp"]
+        attack = AttackConfig(**{**record, "domain_clamp": tuple(clamp)
+                                 if isinstance(clamp, list) else clamp})
+        if json.dumps(_attack_record(attack), sort_keys=True, allow_nan=False) != text:
+            raise ValueError(f"measured attack {record} has a field of the wrong type")
+        parsed[text] = attack
+    return parsed[text]
 
 
-def _pass_from(entry, num_classes) -> Pass:
+def _pass_from(entry, num_classes, parsed) -> Pass:
     """A ``passes`` entry read back; ValueError or TypeError unless it is
-    what ``_measured_record`` writes, with predictions below ``num_classes``."""
+    what ``_measured_record`` writes, with predictions below ``num_classes``.
+    ``parsed`` is ``_attack_from``'s."""
     if not (isinstance(entry, dict) and set(entry) == {"split", "attack", "preds", "ac"}):
         raise ValueError("a measured pass must hold exactly split, attack, preds, ac")
     if entry["split"] not in SPLITS:
@@ -611,7 +607,7 @@ def _pass_from(entry, num_classes) -> Pass:
                           dtype=_preds_dtype(num_classes))
     if preds.size and preds.max() >= num_classes:
         raise ValueError(f"measured pass preds hold a class >= {num_classes}")
-    return Pass(entry["split"], _attack_from(entry["attack"]), preds, ac)
+    return Pass(entry["split"], _attack_from(entry["attack"], parsed), preds, ac)
 
 
 def _measured_from(record, num_classes) -> Optional[Measured]:
@@ -633,9 +629,10 @@ def _measured_from(record, num_classes) -> Optional[Measured]:
         raise ValueError("measured params_sha256 is not a string")
     if not isinstance(record["passes"], list):
         raise ValueError("measured passes is not a list")
-    return Measured(_attack_from(record["attack"]), tuple(digests[name] for name in SPLITS),
-                    record["params_sha256"],
-                    tuple(_pass_from(entry, num_classes) for entry in record["passes"]))
+    parsed = {}
+    return Measured(_attack_from(record["attack"], parsed),
+                    tuple(digests[name] for name in SPLITS), record["params_sha256"],
+                    tuple(_pass_from(entry, num_classes, parsed) for entry in record["passes"]))
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
@@ -656,14 +653,12 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     if checkpoint.measured is not None:
         header["measured"] = _measured_record(checkpoint.measured, spec.num_classes)
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    params = checkpoint.model.params.flatten().astype("<f8")
-    buf = checkpoint.optimizer_momentum.flatten().astype("<f8")
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        f.write(params.tobytes())
-        f.write(buf.tobytes())
+        for vector in (checkpoint.model.params, checkpoint.optimizer_momentum):
+            f.write(vector.flatten().astype("<f8", copy=False))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -710,7 +705,6 @@ def load_checkpoint(path) -> Checkpoint:
     # one copy of the payload, aligned: a view of ``raw`` at ``offset`` may not
     # be, which can keep a matmul off its BLAS path
     flat = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=offset).astype(np.float64)
-    flat.setflags(write=False)
     try:
         params = ParamVector.views(flat[:count], segments)
         buf = ParamVector.views(flat[count:], segments)

@@ -3,6 +3,7 @@ import pytest
 
 from advlab.autodiff import ce_rows_grad, ce_rows_value, finite_diff_grad, log_softmax_rows
 from advlab.data import Batch
+from advlab.diagnostics import MetricsRecord
 from advlab.errors import ConfigError, NumericError, ShapeError
 from advlab.netcore import (
     DiffModel,
@@ -15,6 +16,7 @@ from advlab.netcore import (
     init_model,
     predict_label,
 )
+from advlab.train import Checkpoint, load_checkpoint, save_checkpoint
 from conftest import model_from_arrays
 
 
@@ -33,9 +35,12 @@ class TestParamVector:
 
     def test_layout_mismatch_rejected(self):
         a = ParamVector([("w0", np.zeros(2))])
-        b = ParamVector([("w0", np.zeros(3))])
-        with pytest.raises(ShapeError):
-            a + b
+        for b in (ParamVector([("w0", np.zeros(3))]), ParamVector([("b0", np.zeros(2))])):
+            with pytest.raises(ShapeError):
+                a + b
+            with pytest.raises(ShapeError):
+                a - b
+            assert not a.equals(b)
 
     def test_segments_are_readonly(self):
         pv = ParamVector([("w0", np.zeros(2))])
@@ -45,8 +50,7 @@ class TestParamVector:
     def test_computed_results_are_readonly(self, rng):
         a = ParamVector([("w0", rng.normal(size=(2, 3))), ("b0", rng.normal(size=3))])
         b = ParamVector([("w0", rng.normal(size=(2, 3))), ("b0", rng.normal(size=3))])
-        for result in (a + b, a - b, a * 0.5, 0.5 * a, a.zeros_like(),
-                       a.map(lambda s, t: s * t, b)):
+        for result in (a + b, a - b, a * 0.5, 0.5 * a, a.zeros_like()):
             for _, arr in result.items():
                 assert not arr.flags.writeable
                 assert not any(np.shares_memory(arr, src) for _, src in (*a.items(), *b.items()))
@@ -54,16 +58,26 @@ class TestParamVector:
     def test_external_arrays_are_copied(self, rng):
         w = rng.normal(size=(2, 3))
         pv = ParamVector([("w0", w)])
-        flat = pv.flatten()
+        flat = pv.flatten().copy()
         again = pv.unflatten(flat)
         w[0, 0] = flat[1] = 99.0
         assert w.flags.writeable and flat.flags.writeable
         assert pv["w0"][0, 0] != 99.0 and again["w0"][0, 1] != 99.0
+        with pytest.raises(ValueError):
+            pv.flatten()[0] = 99.0
 
-    def test_map_checks_layouts(self):
-        a = ParamVector([("w0", np.zeros(2))])
-        with pytest.raises(ShapeError):
-            a.map(np.add, ParamVector([("b0", np.zeros(2))]))
+    def test_segments_are_views_of_the_one_flat_vector(self, rng, tmp_path):
+        model = init_model(ModelSpec(3, (5, 2), "relu", 4))
+        a = model.params
+        dm = DiffModel(model)
+        grad = backward(dm, dm.logits(rng.normal(size=(4, 3))))
+        row = MetricsRecord(0, "at", 0.1, 0.5, 0.5, 0.5, 0.5, 0.1, 0.1)
+        save_checkpoint(Checkpoint(model, 0, grad, {"base_seed": 0}, row), tmp_path / "c.ckpt")
+        loaded = load_checkpoint(tmp_path / "c.ckpt")
+        for pv in (a, a + a, a * 0.5, grad, loaded.model.params, loaded.optimizer_momentum):
+            flat = pv.flatten()
+            assert pv.flatten() is flat and not flat.flags.writeable
+            assert all(np.shares_memory(arr, flat) for _, arr in pv.items())
 
 
 class TestModelSpec:

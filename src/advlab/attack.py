@@ -3,14 +3,17 @@ gradient ascent for linf and l2 threat models.
 
 The iterate keeps the perturbation delta as its state: each step adds a
 signed (linf) or normalised (l2) gradient step, projects delta back into the
-epsilon ball, and the candidate input is ``clamp(x + delta)``. Originals are
-assumed to lie inside the domain box, so the final output satisfies both the
-ball and the box constraints.
+epsilon ball, and the candidate input is ``clamp(x + delta)``. FGSM is that
+loop run for one step of epsilon. Originals are assumed to lie inside the
+domain box, so the final output satisfies both the ball and the box
+constraints, and the first candidate ``clamp(x + 0)`` is ``x`` bit for bit
+save that a coordinate of -0.0 reads +0.0: where its gradient is also zero,
+the output's zero may take the other sign. No data builder makes -0.0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -124,7 +127,8 @@ def pgd(model: ModelState, x, y, config: AttackConfig, rng=None, start=None):
     by step_size along the row-normalised gradient (zero rows stay put). With
     ``random_start`` the iterate begins at a uniform in-ball offset: ``start``
     when given, drawn earlier by ``draw_start``, else one drawn from
-    ``rng``. Returns the final candidate ``clamp(x + delta)``.
+    ``rng``. Returns the final candidate ``clamp(x + delta)``. ``fgsm`` is
+    one linf step of epsilon from ``delta = 0``.
     """
     rows, single = _as_rows(x, model.spec.input_dim)
     labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
@@ -132,14 +136,12 @@ def pgd(model: ModelState, x, y, config: AttackConfig, rng=None, start=None):
         raise ShapeError(f"{rows.shape[0]} inputs but {labels.shape[0]} labels")
     if start is None:
         start = draw_start(config, rng, rows.shape)
-    # the iterate and the candidate are updated in place; ``start`` stays the
-    # caller's, and one DiffModel's buffers serve every step
+    # the iterate is updated in place; ``start`` stays the caller's, and one
+    # DiffModel's buffers serve every step
     delta = np.zeros_like(rows) if start is None else np.array(start, dtype=np.float64)
-    current = np.empty_like(rows)
     dm = DiffModel(model)
     for _ in range(config.steps):
-        _clamp(np.add(rows, delta, out=current), config)
-        step = _ce_grad_x(dm, current, labels)
+        step = _ce_grad_x(dm, _clamp(rows + delta, config), labels)
         if config.norm == "linf":
             np.sign(step, out=step)
         else:
@@ -154,14 +156,13 @@ def pgd(model: ModelState, x, y, config: AttackConfig, rng=None, start=None):
 
 
 def fgsm(model: ModelState, x, y, config: AttackConfig):
-    """Single signed-gradient step of size epsilon, then domain clamping."""
+    """One signed-gradient step of size epsilon, then domain clamping: the
+    pgd of one step of epsilon from no random start (a radius of 0 takes no
+    step)."""
     if config.norm != "linf":
         raise ConfigError("fgsm is defined for the linf norm only")
-    rows, single = _as_rows(x, model.spec.input_dim)
-    labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
-    grad = _ce_grad_x(DiffModel(model), rows, labels)
-    out = _clamp(rows + config.epsilon * np.sign(grad), config)
-    return out[0] if single else out
+    return pgd(model, x, y, replace(config, kind="pgd", step_size=config.epsilon,
+                                    steps=1 if config.epsilon > 0 else 0, random_start=False))
 
 
 @dataclass(frozen=True)

@@ -110,10 +110,6 @@ class Heatmap:
     def num_classes(self):
         return self.matrix.shape[0]
 
-    @property
-    def empty_classes(self):
-        return tuple(int(j) for j in np.flatnonzero(self.counts == 0))
-
 
 def _ensure_rng(rng):
     if rng is None or isinstance(rng, np.random.Generator):

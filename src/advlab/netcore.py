@@ -59,10 +59,6 @@ class ParamVector:
         pv._keep(flat, layout)
         return pv
 
-    @property
-    def names(self):
-        return tuple(self._arrays)
-
     def items(self):
         return self._arrays.items()
 

@@ -575,25 +575,21 @@ def _measured_record(measured: Measured, num_classes) -> dict:
                         "ac": float(p.ac)} for p in measured.passes]}
 
 
-def _attack_from(record, parsed) -> AttackConfig:
+def _attack_from(record) -> AttackConfig:
     """An attack record read back; ValueError or TypeError unless it is what
-    ``_attack_record`` writes. ``parsed`` maps the JSON text of each record
-    read so far to its attack, so that each distinct record is parsed once."""
-    text = json.dumps(record, sort_keys=True, allow_nan=False)
-    if text not in parsed:
-        clamp = record["domain_clamp"]
-        attack = AttackConfig(**{**record, "domain_clamp": tuple(clamp)
-                                 if isinstance(clamp, list) else clamp})
-        if json.dumps(_attack_record(attack), sort_keys=True, allow_nan=False) != text:
-            raise ValueError(f"measured attack {record} has a field of the wrong type")
-        parsed[text] = attack
-    return parsed[text]
+    ``_attack_record`` writes."""
+    clamp = record["domain_clamp"]
+    attack = AttackConfig(**{**record, "domain_clamp": tuple(clamp)
+                             if isinstance(clamp, list) else clamp})
+    if (json.dumps(_attack_record(attack), sort_keys=True, allow_nan=False)
+            != json.dumps(record, sort_keys=True, allow_nan=False)):
+        raise ValueError(f"measured attack {record} has a field of the wrong type")
+    return attack
 
 
-def _pass_from(entry, num_classes, parsed) -> Pass:
+def _pass_from(entry, num_classes) -> Pass:
     """A ``passes`` entry read back; ValueError or TypeError unless it is
-    what ``_measured_record`` writes, with predictions below ``num_classes``.
-    ``parsed`` is ``_attack_from``'s."""
+    what ``_measured_record`` writes, with predictions below ``num_classes``."""
     if not (isinstance(entry, dict) and set(entry) == {"split", "attack", "preds", "ac"}):
         raise ValueError("a measured pass must hold exactly split, attack, preds, ac")
     if entry["split"] not in SPLITS:
@@ -607,7 +603,7 @@ def _pass_from(entry, num_classes, parsed) -> Pass:
                           dtype=_preds_dtype(num_classes))
     if preds.size and preds.max() >= num_classes:
         raise ValueError(f"measured pass preds hold a class >= {num_classes}")
-    return Pass(entry["split"], _attack_from(entry["attack"], parsed), preds, ac)
+    return Pass(entry["split"], _attack_from(entry["attack"]), preds, ac)
 
 
 def _measured_from(record, num_classes) -> Optional[Measured]:
@@ -629,10 +625,9 @@ def _measured_from(record, num_classes) -> Optional[Measured]:
         raise ValueError("measured params_sha256 is not a string")
     if not isinstance(record["passes"], list):
         raise ValueError("measured passes is not a list")
-    parsed = {}
-    return Measured(_attack_from(record["attack"], parsed),
+    return Measured(_attack_from(record["attack"]),
                     tuple(digests[name] for name in SPLITS), record["params_sha256"],
-                    tuple(_pass_from(entry, num_classes, parsed) for entry in record["passes"]))
+                    tuple(_pass_from(entry, num_classes) for entry in record["passes"]))
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:

@@ -117,6 +117,25 @@ class TestFgsm:
         b = pgd(model, x, y, linf(eps, eps, 1))
         assert np.array_equal(a, b)
 
+    def test_matches_single_step_pgd_bytes_in_a_box(self, rng):
+        # inputs drawn inside the domain box, which the first pgd candidate
+        # clamps into; C02 covers unclamped normal inputs only
+        for seed in range(20):
+            model = init_model(ModelSpec(4, (6, 3), "relu", seed))
+            x = rng.uniform(0.0, 1.0, size=(7, 4))
+            y = rng.integers(0, 3, size=7)
+            eps = float(rng.uniform(0.01, 0.5))
+            a = fgsm(model, x, y, AttackConfig(norm="linf", epsilon=eps, kind="fgsm",
+                                               domain_clamp=(0.0, 1.0)))
+            b = pgd(model, x, y, linf(eps, eps, 1, domain_clamp=(0.0, 1.0)))
+            assert a.tobytes() == b.tobytes()
+
+    def test_label_count_mismatch_is_shape_error(self, rng):
+        model = init_model(ModelSpec(4, (6, 3), "relu", 0))
+        with pytest.raises(ShapeError):
+            fgsm(model, rng.normal(size=(3, 4)), [0, 1],
+                 AttackConfig(norm="linf", epsilon=0.1, kind="fgsm"))
+
     def test_rejects_l2(self, linear_2d_model):
         cfg = l2(0.1, 0.1, 1)
         with pytest.raises(ConfigError):

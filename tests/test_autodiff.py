@@ -151,7 +151,7 @@ def test_untracked_constants_get_no_grad(rng):
     model = model_from_arrays(3, [(rng.normal(size=(3, 2)), np.zeros(2))])
     dm = DiffModel(model)
     d = np.ones_like(dm.logits(rng.normal(size=(4, 3))))
-    assert backward(dm, d).names == ("w0", "b0")
+    assert backward(dm, d).layout() == (("w0", (3, 2)), ("b0", (2,)))
     assert backward(dm, d, inputs=True).shape == (4, 3)
 
 

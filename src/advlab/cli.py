@@ -170,8 +170,10 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_checkpoint_for(config: ExperimentConfig, path, train_set: Dataset) -> Checkpoint:
-    """Load a checkpoint whose architecture fits the config.
+def _load_checkpoint_for(config: ExperimentConfig, path, dataset: Dataset) -> Checkpoint:
+    """Load a checkpoint whose architecture fits the config, with the model
+    spec taken from ``dataset``: whichever split the command built, since
+    every split of a config has the same input width and class count.
 
     Only the architecture is compared, not ``init_seed``: a checkpoint made
     by ``advlab train --seed N`` fits its config whatever seed that names.
@@ -181,7 +183,7 @@ def _load_checkpoint_for(config: ExperimentConfig, path, train_set: Dataset) -> 
     ckpt = load_checkpoint(path)
     if "base_seed" not in ckpt.rng_state:
         raise CheckpointError(f"{path}: rng state has no base_seed")
-    want = config.model_spec(train_set)
+    want = config.model_spec(dataset)
     if replace(ckpt.model.spec, init_seed=want.init_seed) != want:
         raise CheckpointError(
             f"{path}: checkpoint spec {ckpt.model.spec} does not match the config"
@@ -199,13 +201,14 @@ def _checkpoint_pass(path, checkpoint: Checkpoint, split, dataset: Dataset, atta
 
 
 def cmd_eval(args) -> int:
-    """Clean accuracy and each attack's figures on the test split. The clean
-    accuracy is the history row's when the checkpoint's record fits the split
-    (``record_fits``); each attack's figures come from ``checkpoint_pass``,
-    which reads a recorded pass or makes one."""
+    """Clean accuracy and each attack's figures on the test split, the only
+    split it builds. The clean accuracy is the history row's when the
+    checkpoint's record fits the split (``record_fits``); each attack's
+    figures come from ``checkpoint_pass``, which reads a recorded pass or
+    makes one."""
     config = load_config(args.config).with_overrides(out_dir=args.out)
-    train_set, test_set = config.build_datasets()
-    ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
+    (test_set,) = config.build_datasets(("test",))
+    ckpt = _load_checkpoint_for(config, args.checkpoint, test_set)
     attacks = dict(config.eval_attacks) or {"eval": config.train.eval_attack}
     report = {
         "checkpoint": str(args.checkpoint),
@@ -229,14 +232,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    """The heatmap and label-level variance of ``[train.eval_attack]`` on one
-    split, from the counts of ``checkpoint_pass``."""
+    """The heatmap and label-level variance of ``[train.eval_attack]`` on the
+    ``--split`` split, the only split it builds, from the counts of
+    ``checkpoint_pass``."""
     config = load_config(args.config).with_overrides(out_dir=args.out)
-    train_set, test_set = config.build_datasets()
-    ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
-    split = SPLITS.index(args.split)
-    dataset = (train_set, test_set)[split]
-    _, confusion, _ = _checkpoint_pass(args.checkpoint, ckpt, split, dataset,
+    (dataset,) = config.build_datasets((args.split,))
+    ckpt = _load_checkpoint_for(config, args.checkpoint, dataset)
+    _, confusion, _ = _checkpoint_pass(args.checkpoint, ckpt, SPLITS.index(args.split), dataset,
                                        config.train.eval_attack)
     hm = heatmap_from_confusion(confusion)
     variances = label_level_variance(hm)

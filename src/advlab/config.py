@@ -12,7 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .attack import KINDS, NORMS, AttackConfig
-from .data import Dataset, SplitSpec, default_benchmark, gaussian_mixture_pair, load_idx_images, split
+from .data import (SPLITS, Dataset, SplitSpec, default_benchmark, gaussian_mixture_splits,
+                   load_idx_images, split)
 from .errors import ConfigError
 from .netcore import ACTIVATIONS, ModelSpec
 from .objective import OBJECTIVE_KINDS, ObjectiveKind
@@ -172,17 +173,20 @@ class DatasetSection:
     kind: str
     options: dict = field(default_factory=dict)
 
-    def build(self):
-        """Materialise the (train, test) pair described by the section."""
+    def build(self, splits=SPLITS):
+        """Materialise the section's splits named in ``splits``, in that order.
+        A synthetic split not named is never generated; an IDX file pair is
+        read whole and then split."""
         o = self.options
         if self.kind == "benchmark":
-            return default_benchmark(o.get("seed"))
+            return default_benchmark(o.get("seed"), splits)
         if self.kind == "gaussian_mixture":
-            return gaussian_mixture_pair(o["classes"], o["dim"], o["train_per_class"],
-                                         o["test_per_class"], o["separation"], o["noise_std"],
-                                         o["seed"], "mixture")
+            return gaussian_mixture_splits(o["classes"], o["dim"], o["train_per_class"],
+                                           o["test_per_class"], o["separation"], o["noise_std"],
+                                           o["seed"], "mixture", splits)
         full = load_idx_images(o["images"], o["labels"], o.get("downsample_to"))
-        return split(full, SplitSpec(o["train_fraction"], o["shuffle_seed"]))
+        parts = split(full, SplitSpec(o["train_fraction"], o["shuffle_seed"]))
+        return tuple(parts[SPLITS.index(side)] for side in splits)
 
 
 @dataclass(frozen=True)
@@ -196,8 +200,10 @@ class ExperimentConfig:
     out_dir: str
     formats: tuple
 
-    def build_datasets(self):
-        return self.dataset.build()
+    def build_datasets(self, splits=SPLITS):
+        """The datasets of the splits a command reads, named in ``splits``, in
+        that order; by default (train, test). See ``DatasetSection.build``."""
+        return self.dataset.build(splits)
 
     def model_spec(self, dataset: Dataset) -> ModelSpec:
         return ModelSpec(

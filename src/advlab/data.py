@@ -16,6 +16,8 @@ from .autodiff import as_f64
 from .errors import ConfigError, DataFormatError, ShapeError
 from .netcore import MAX_ARRAY_BYTES
 
+SPLITS = ("train", "test")  # a split's index seeds its data and its evaluation passes
+
 
 class Batch(NamedTuple):
     inputs: np.ndarray
@@ -241,21 +243,23 @@ BENCHMARK = dict(
 )
 
 
-def gaussian_mixture_pair(num_classes, dim, train_per_class, test_per_class,
-                          class_separation, noise_std, seed, name):
-    """``make_gaussian_mixture``'s (train, test) pair, named ``name/train`` and
-    ``name/test``, each seeded from ``seed`` and its index in that order."""
+def gaussian_mixture_splits(num_classes, dim, train_per_class, test_per_class,
+                            class_separation, noise_std, seed, name, splits=SPLITS):
+    """``make_gaussian_mixture``'s split for each name in ``splits``, in that
+    order, named ``name/train`` or ``name/test`` and seeded from ``seed`` and
+    the split's index in ``SPLITS``; a split not named is never generated."""
+    per_class = dict(zip(SPLITS, (train_per_class, test_per_class)))
     return tuple(
-        make_gaussian_mixture(num_classes, dim, per_class, class_separation, noise_std,
-                              seed=np.random.SeedSequence([int(seed), i]).generate_state(1)[0],
+        make_gaussian_mixture(num_classes, dim, per_class[side], class_separation, noise_std,
+                              seed=np.random.SeedSequence([int(seed), SPLITS.index(side)])
+                              .generate_state(1)[0],
                               name=f"{name}/{side}")
-        for i, (side, per_class) in enumerate((("train", train_per_class),
-                                               ("test", test_per_class))))
+        for side in splits)
 
 
-def default_benchmark(seed=None):
-    """The bundled benchmark as a (train, test) pair; see ``BENCHMARK``."""
+def default_benchmark(seed=None, splits=SPLITS):
+    """The bundled benchmark's splits named in ``splits``; see ``BENCHMARK``."""
     cfg = dict(BENCHMARK)
     if seed is not None:
         cfg["seed"] = seed
-    return gaussian_mixture_pair(**cfg, name="benchmark")
+    return gaussian_mixture_splits(**cfg, name="benchmark", splits=splits)

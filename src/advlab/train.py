@@ -30,6 +30,7 @@ import base64
 import json
 import logging
 import math
+import os
 import struct
 import time
 from dataclasses import dataclass, replace
@@ -38,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .attack import AttackConfig, generate_batch
-from .data import Batch, Dataset, batches
+from .data import SPLITS, Batch, Dataset, batches
 from .diagnostics import (
     MetricsRecord,
     attacked_stats,
@@ -67,8 +68,6 @@ STREAM_AC = 0
 STREAM_ROB = 1
 STREAM_EVAL = 2
 STREAM_SHUFFLE = 3
-
-SPLITS = ("train", "test")  # the split index of evaluation seeds
 
 _U64 = (1 << 64) - 1
 
@@ -657,16 +656,26 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(CKPT_MAGIC) + 4 or raw[: len(CKPT_MAGIC)] != CKPT_MAGIC:
-        raise CheckpointError(f"{path}: missing checkpoint magic {CKPT_MAGIC!r}")
-    (hlen,) = struct.unpack("<I", raw[len(CKPT_MAGIC) : len(CKPT_MAGIC) + 4])
+    """The checkpoint at ``path``; a ``CheckpointError`` naming the path
+    unless it is a readable file in the layout of docs/formats.md."""
+    try:
+        with open(path, "rb") as f:
+            return _read_checkpoint(f, path)
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc.strerror or exc}") from exc
+
+
+def _read_checkpoint(f, path) -> Checkpoint:
+    size = os.fstat(f.fileno()).st_size
     start = len(CKPT_MAGIC) + 4
-    if len(raw) < start + hlen:
+    head = f.read(start)
+    if len(head) < start or head[: len(CKPT_MAGIC)] != CKPT_MAGIC:
+        raise CheckpointError(f"{path}: missing checkpoint magic {CKPT_MAGIC!r}")
+    (hlen,) = struct.unpack("<I", head[len(CKPT_MAGIC) :])
+    if size < start + hlen:
         raise CheckpointError(f"{path}: truncated header (wanted {hlen} bytes)")
     try:
-        header = json.loads(raw[start : start + hlen].decode("utf-8"))
+        header = json.loads(f.read(hlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -692,14 +701,16 @@ def load_checkpoint(path) -> Checkpoint:
             NumericError) as exc:
         raise CheckpointError(f"{path}: malformed header fields: {exc}") from exc
     count = sum(math.prod(shape) for _, shape in segments)
-    offset = start + hlen
-    if len(raw) - offset != 2 * 8 * count:
-        raise CheckpointError(
-            f"{path}: expected {2 * 8 * count} payload bytes, found {len(raw) - offset}"
-        )
-    # one copy of the payload, aligned: a view of ``raw`` at ``offset`` may not
-    # be, which can keep a matmul off its BLAS path
-    flat = np.frombuffer(raw, dtype="<f8", count=2 * count, offset=offset).astype(np.float64)
+    want, found = 2 * 8 * count, size - start - hlen
+    if found == want:
+        # one array, read in place: aligned, which a view of the file's bytes
+        # at the payload's offset may not be, and that can keep a matmul off
+        # its BLAS path; the parameters and the momentum are views of it
+        flat = np.empty(2 * count, dtype="<f8")
+        found = f.readinto(flat)
+    if found != want:
+        raise CheckpointError(f"{path}: expected {want} payload bytes, found {found}")
+    flat = flat.astype(np.float64, copy=False)
     try:
         params = ParamVector.views(flat[:count], segments)
         buf = ParamVector.views(flat[count:], segments)

@@ -6,12 +6,14 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from advlab import cli, gradcheck
+from advlab import data as data_mod
 from advlab import train as train_mod
 from advlab.attack import AttackConfig
 from advlab.cli import main
@@ -85,10 +87,11 @@ def history_column(out, name):
     return [float(line.split(",")[col]) for line in lines[1:]]
 
 
-def rewrite_checkpoint(src, dst, edit_header=None, nan_at=None):
-    """Copy a checkpoint, passing its header through ``edit_header`` or
-    setting the payload float at index ``nan_at(payload size)`` to NaN; the
-    payload holds the parameters, then the momentum."""
+def rewrite_checkpoint(src, dst, edit_header=None, nan_at=None, edit_bytes=None):
+    """Copy a checkpoint, passing its header through ``edit_header``, setting
+    the payload float at index ``nan_at(payload size)`` to NaN, or passing
+    the file's bytes through ``edit_bytes``; the payload holds the
+    parameters, then the momentum."""
     raw = src.read_bytes()
     (hlen,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12:12 + hlen])
@@ -98,7 +101,8 @@ def rewrite_checkpoint(src, dst, edit_header=None, nan_at=None):
     if nan_at is not None:
         payload[nan_at(payload.size)] = np.nan
     blob = json.dumps(header).encode()
-    dst.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + payload.tobytes())
+    raw = raw[:8] + struct.pack("<I", len(blob)) + blob + payload.tobytes()
+    dst.write_bytes(raw if edit_bytes is None else edit_bytes(raw))
 
 
 def set_field(path, value):
@@ -248,6 +252,12 @@ MALFORMED = {
     "pass_preds_class_out_of_range": dict(edit_header=edit_preds(CLEAN, set_class(0, 255))),
     "pass_preds_number": dict(edit_header=edit_pass("preds", lambda _: 5.0)),
     "pass_doubled_preds": dict(edit_header=edit_preds(CLEAN, lambda p: np.repeat(p, 2))),
+    # a length that disagrees with the header, found before anything a header
+    # field sizes is read or allocated
+    "trailing_payload_byte": dict(edit_bytes=lambda raw: raw + b"\0"),
+    "header_length_all_ones": dict(edit_bytes=lambda raw: raw[:8]
+                                   + struct.pack("<I", 0xFFFFFFFF) + b"{}"),
+    "segment_1e9_by_1e9": dict(edit_header=set_field(("segments", 0, 1), [10**9, 10**9])),
 }
 
 
@@ -466,12 +476,23 @@ class TestEvalCommand:
 
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_malformed_checkpoint_exit_4(self, quick_config, tmp_path, case):
+    def test_malformed_checkpoint_exit_4(self, quick_config, tmp_path, capsys, case):
         cfg, out = quick_config()
         main(["train", "--config", str(cfg)])
         bad = tmp_path / "bad.ckpt"
         rewrite_checkpoint(out / "last.ckpt", bad, **MALFORMED[case])
+        capsys.readouterr()
         assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad)]) == 4
+        assert capsys.readouterr().err.startswith(f"checkpoint error: {bad}: ")
+
+    @pytest.mark.parametrize("command", [["eval"], ["heatmap"], ["sweep", "--etas", "0"]])
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_checkpoint_exit_4(self, quick_config, tmp_path, capsys, command, where):
+        cfg, _ = quick_config()
+        path = tmp_path / "absent.ckpt" if where == "missing" else tmp_path
+        assert main(command + ["--config", str(cfg), "--checkpoint", str(path)]) == 4
+        assert capsys.readouterr().err.startswith(
+            f"checkpoint error: {path}: cannot read checkpoint: ")
 
     def test_checkpoint_of_seed_override_accepted(self, quick_config, tmp_path):
         # --seed also sets init_seed; eval, heatmap and sweep compare only the
@@ -984,6 +1005,24 @@ class TestCheckpointCompat:
         assert ck.epoch == 1
         assert np.isfinite(ck.model.params.flatten()).all()
 
+    def test_load_holds_one_copy_of_the_payload(self, quick_config):
+        # a hidden layer wide enough that the payload, not the header's
+        # passes, sets the peak
+        cfg, out = quick_config(**{"hidden = 16": "hidden = 1024"})
+        assert main(["train", "--config", str(cfg)]) == 0
+        path = out / "last.ckpt"
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        payload = len(raw) - 12 - hlen
+        load_checkpoint(path)  # first-call allocations are not the reader's
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload
+
     def test_documented_header_keys_are_the_written_ones(self, quick_config):
         doc = (ROOT / "docs" / "formats.md").read_text(encoding="utf-8")
         block = doc.split("Header keys:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
@@ -1008,3 +1047,27 @@ class TestCheckpointCompat:
         assert sorted(written["measured"]["attack"]) == fields
         for pass_written in written["measured"]["passes"]:
             assert sorted(pass_written["attack"]) == fields
+
+
+class TestSplitsBuilt:
+    def test_each_command_generates_only_the_splits_it_reads(self, quick_config,
+                                                             monkeypatch):
+        cfg, out = quick_config()
+        made = []
+        real = data_mod.make_gaussian_mixture
+
+        def spy(*args, **kwargs):
+            made.append(kwargs["name"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(data_mod, "make_gaussian_mixture", spy)
+        both = ["mixture/train", "mixture/test"]
+        base = ["--config", str(cfg), "--checkpoint", str(out / "last.ckpt")]
+        for command, want in [(["train", "--config", str(cfg)], both),
+                              (["eval", *base], ["mixture/test"]),
+                              (["heatmap", *base, "--split", "train"], ["mixture/train"]),
+                              (["heatmap", *base, "--split", "test"], ["mixture/test"]),
+                              (["sweep", *base, "--etas", "0"], both)]:
+            made.clear()
+            assert main(command) == 0
+            assert made == want, command

@@ -151,3 +151,15 @@ class TestExperimentConfig:
         cfg = parse_config(text, "b.ini")
         train, test = cfg.build_datasets()
         assert len(train) == 2000 and len(test) == 1000
+
+    @pytest.mark.parametrize("kind", ["gaussian_mixture", "benchmark"])
+    def test_each_split_alone_is_its_split_of_the_pair(self, kind):
+        section = GOOD[GOOD.index("[dataset]"):GOOD.index("[model]")]
+        text = GOOD if kind == "gaussian_mixture" else GOOD.replace(section, "[dataset]\n"
+                                                                             "kind = benchmark\n")
+        cfg = parse_config(text, "s.ini")
+        pair = cfg.build_datasets()
+        alone = [cfg.build_datasets((side,))[0] for side in ("train", "test")]
+        swapped = cfg.build_datasets(("test", "train"))
+        for got in (alone, swapped[::-1]):
+            assert [(d.name, d.sha256) for d in got] == [(d.name, d.sha256) for d in pair]

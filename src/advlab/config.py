@@ -59,6 +59,10 @@ def parse_sectioned(text, source="<config>"):
     return sections
 
 
+_BOOLS = {"true": True, "yes": True, "1": True, "on": True,
+          "false": False, "no": False, "0": False, "off": False}
+
+
 class SectionView:
     """Typed accessors over one parsed section, with used-key tracking."""
 
@@ -86,48 +90,34 @@ class SectionView:
             self._fail(key, f"must be one of {choices}, got {v!r}")
         return v
 
-    def get_int(self, key, default=None, required=False):
+    def _parse(self, key, default, required, parse, expected):
+        """``parse`` of the key's raw text, or ``default`` if it is absent; a
+        ``ConfigError`` "expected ``expected``" where ``parse`` raises
+        ``KeyError`` or ``ValueError``."""
         v = self._raw(key, None, required)
         if v is None:
             return default
         try:
-            return int(v)
-        except ValueError:
-            self._fail(key, f"expected an integer, got {v!r}")
+            return parse(v)
+        except (KeyError, ValueError):
+            self._fail(key, f"expected {expected}, got {v!r}")
+
+    def get_int(self, key, default=None, required=False):
+        return self._parse(key, default, required, int, "an integer")
 
     def get_float(self, key, default=None, required=False):
-        v = self._raw(key, None, required)
-        if v is None:
-            return default
-        try:
-            f = float(v)
-        except ValueError:
-            self._fail(key, f"expected a number, got {v!r}")
-        if not np.isfinite(f):
-            self._fail(key, f"expected a finite number, got {v!r}")
+        f = self._parse(key, default, required, float, "a number")
+        if f is not None and not np.isfinite(f):
+            self._fail(key, f"expected a finite number, got {self.section[key][0]!r}")
         return f
 
     def get_bool(self, key, default=None, required=False):
-        v = self._raw(key, None, required)
-        if v is None:
-            return default
-        low = v.lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        self._fail(key, f"expected a boolean, got {v!r}")
+        return self._parse(key, default, required, lambda v: _BOOLS[v.lower()], "a boolean")
 
     def get_int_list(self, key, default=()):
-        v = self._raw(key)
-        if v is None:
-            return tuple(default)
-        if not v:
-            return ()
-        try:
-            return tuple(int(p.strip()) for p in v.split(","))
-        except ValueError:
-            self._fail(key, f"expected comma-separated integers, got {v!r}")
+        return self._parse(key, tuple(default), False,
+                           lambda v: tuple(int(p) for p in v.split(",")) if v else (),
+                           "comma-separated integers")
 
     def get_clamp(self, key, default=None):
         v = self._raw(key)
@@ -233,6 +223,8 @@ def load_config(path) -> ExperimentConfig:
             text = f.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {path}: not UTF-8 text: {exc}") from exc
     return parse_config(text, source=str(path))
 
 

@@ -61,7 +61,8 @@ def _clear_of_kinks(model: ModelState, x) -> bool:
     dm = DiffModel(model)
     logits = dm.logits(x)
     if model.spec.activation == "relu":
-        for _, pre in dm.tape[:-1]:
+        for i, inputs in enumerate(dm.tape[:-1]):
+            pre = inputs @ model.params[f"w{i}"] + model.params[f"b{i}"]
             if np.abs(pre).min(initial=np.inf) < KINK_MARGIN:
                 return False
     return row_std_value(logits).min(initial=np.inf) >= KINK_MARGIN

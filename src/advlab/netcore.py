@@ -4,8 +4,8 @@ Arrays are 64-bit floats throughout; model parameters and their gradients
 are read-only flat vectors with named segment views (``ParamVector``), so
 states can be shared freely between threads and attacks.
 One layer loop (``_forward``) computes every forward pass; ``DiffModel``
-records its layer inputs and pre-activations, and ``backward`` carries a
-gradient with respect to the logits back to the parameters or the input.
+records each layer's input, and ``backward`` carries a gradient with respect
+to the logits back to the parameters or the input.
 """
 
 from __future__ import annotations
@@ -224,10 +224,11 @@ def _as_rows(x, input_dim: int):
 
 
 def _forward(model: ModelState, rows, dm=None):
-    """The MLP layer loop over a row batch. With ``dm``, each layer's (input,
-    pre-activation) goes on ``dm.tape``, the hidden layers' arrays in ``dm``'s
-    own buffers; the logits are always a fresh array. Non-finite logits raise
-    ``NumericError``, with no numpy overflow warning before it."""
+    """The MLP layer loop over a row batch; each hidden activation overwrites
+    its pre-activation in place. With ``dm``, each layer's input goes on
+    ``dm.tape`` and the hidden layers' outputs live in ``dm``'s buffers; the
+    logits are always a fresh array. Non-finite logits raise ``NumericError``,
+    with no numpy overflow warning before it."""
     use_relu = model.spec.activation == "relu"
     params = model.params
     n = rows.shape[0]
@@ -235,18 +236,15 @@ def _forward(model: ModelState, rows, dm=None):
     last = len(model.spec.layer_widths) - 1
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(last + 1):
-            x = z
             w = params[f"w{i}"]
             hidden = i < last
-            z = np.matmul(x, w, out=dm._buffer(("pre", i), n, w.shape[1])
+            if dm is not None:
+                dm.tape.append(z)
+            z = np.matmul(z, w, out=dm._buffer(("out", i), n, w.shape[1])
                           if dm is not None and hidden else None)
             z += params[f"b{i}"]
-            if dm is not None:
-                dm.tape.append((x, z))
             if hidden:
-                # without a tape the activation overwrites the pre-activation
-                act = z if dm is None else dm._buffer(("act", i), n, w.shape[1])
-                z = np.maximum(z, 0.0, out=act) if use_relu else np.tanh(z, out=act)
+                z = np.maximum(z, 0.0, out=z) if use_relu else np.tanh(z, out=z)
     if not np.isfinite(z).all():
         raise NumericError("forward pass produced non-finite logits")
     return z
@@ -268,11 +266,12 @@ def predict_label(model: ModelState, x):
 class DiffModel:
     """One recorded forward pass of a model, for ``backward``.
 
-    ``logits`` keeps every layer's input and pre-activation; a second call
-    replaces the record. The hidden layers' arrays and ``backward``'s chain
-    live in buffers the DiffModel owns, sized by the largest batch it has
-    seen, so repeated passes (the steps of one attack) allocate them once. A
-    second call overwrites them: read the tape before the next ``logits``.
+    ``logits`` keeps each layer's input on ``tape``: the input rows, then each
+    hidden layer's activation; a second call replaces the record. The
+    activations and ``backward``'s chain live in buffers the DiffModel owns,
+    sized by the largest batch it has seen, so repeated passes (the steps of
+    one attack) allocate them once. A second call overwrites them: read the
+    tape before the next ``logits``.
     """
 
     def __init__(self, model: ModelState):
@@ -280,11 +279,11 @@ class DiffModel:
         self.tape = []
         self._buffers = {}
 
-    def _buffer(self, key, n, width, dtype=np.float64):
+    def _buffer(self, key, n, width):
         """The first ``n`` rows of the owned (rows, width) array ``key``."""
         buf = self._buffers.get(key)
         if buf is None or buf.shape[0] < n:
-            buf = self._buffers[key] = np.empty((n, width), dtype)
+            buf = self._buffers[key] = np.empty((n, width))
         return buf[:n]
 
     def logits(self, x) -> np.ndarray:
@@ -306,7 +305,9 @@ def backward(dm: DiffModel, dlogits, inputs=False):
     over one fresh flat array, each layer's segments written in place, or,
     with ``inputs``, the gradient with respect to the recorded input rows,
     the parameters held fixed, in a fresh array. The hidden layers'
-    gradients reuse ``dm``'s buffers.
+    gradients reuse ``dm``'s buffers. Each activation's slope comes from the
+    recorded layer input ``x``: ``1 - x*x`` for tanh, and for relu ``x > 0``,
+    which is ``pre > 0`` since ``x = max(pre, 0)``.
     """
     params = dm.model.params
     use_relu = dm.model.spec.activation == "relu"
@@ -316,7 +317,7 @@ def backward(dm: DiffModel, dlogits, inputs=False):
     g = dlogits
     n = g.shape[0]
     for i in reversed(range(len(dm.tape))):
-        x, _ = dm.tape[i]
+        x = dm.tape[i]
         w = params[f"w{i}"]
         if not inputs:
             np.matmul(x.T, g, out=grads[f"w{i}"])
@@ -327,12 +328,7 @@ def backward(dm: DiffModel, dlogits, inputs=False):
             return g @ w.T
         g = np.matmul(g, w.T, out=dm._buffer(("grad", i), n, w.shape[0]))
         # x is this layer's input: the previous layer's activation
-        if use_relu:
-            g *= np.greater(dm.tape[i - 1][1], 0.0,
-                            out=dm._buffer(("mask", i), n, w.shape[0], bool))
-        else:
-            slope = np.multiply(x, x, out=dm._buffer(("slope", i), n, w.shape[0]))
-            g *= np.subtract(1.0, slope, out=slope)
+        g *= (x > 0.0) if use_relu else 1.0 - x * x
     return g
 
 

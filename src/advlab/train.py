@@ -694,6 +694,9 @@ def _read_checkpoint(f, path) -> Checkpoint:
             raise ValueError(f"negative segment dimension in {header['segments']}")
         metrics = MetricsRecord.from_dict(header["metrics"])
         epoch = int(header["epoch"])
+        if not 0 <= epoch == metrics.epoch:
+            raise ValueError(f"epoch {epoch} must be non-negative and equal its metrics "
+                             f"row's epoch {metrics.epoch}")
         rng_state = {str(k): int(v) for k, v in header["rng"].items()}
         measured = (_measured_from(header["measured"], spec.num_classes)
                     if "measured" in header else None)

@@ -127,6 +127,15 @@ def edit_field(path, edit):
     return apply
 
 
+def compose(*edits):
+    """A header edit that applies ``edits`` in order."""
+    def apply(header):
+        for edit in edits:
+            header = edit(header)
+        return header
+    return apply
+
+
 # the recorded passes of a QUICK run, in the order written: the history row's
 # pass over each split, then [eval.clean]'s, the one pass made for
 # summary.json ([eval.pgd5] is [train.eval_attack])
@@ -229,6 +238,10 @@ MALFORMED = {
     "measured_doubled_preds": dict(edit_header=edit_preds(TEST_ROW,
                                                           lambda p: np.repeat(p, 2))),
     "epoch_infinite": dict(edit_header=set_field(("epoch",), float("inf"))),
+    # an epoch must be non-negative and the metrics row's (QUICK's last is 1)
+    "epoch_negative": dict(edit_header=compose(set_field(("epoch",), -3),
+                                               set_field(("metrics", "epoch"), -3))),
+    "epoch_not_the_row": dict(edit_header=set_field(("epoch",), 7)),
     # the weights' digest and the passes made for summary.json
     "params_sha256_number": dict(edit_header=set_field(("measured", "params_sha256"), 5)),
     "params_sha256_null": dict(edit_header=set_field(("measured", "params_sha256"), None)),
@@ -366,6 +379,12 @@ class TestTrainCommand:
 
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "absent.ini")]) == 2
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "bad.ini"
+        p.write_bytes(b"[dataset]\nkind = benchmark\n\xff\n")
+        assert main(["train", "--config", str(p)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {p}: ")
 
     def test_numeric_failure_exit_3_without_numpy_warning(self, quick_config):
         # the logits overflow on the second batch; the documented error is

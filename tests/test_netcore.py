@@ -5,6 +5,7 @@ from advlab.autodiff import ce_rows_grad, ce_rows_value, finite_diff_grad, log_s
 from advlab.data import Batch
 from advlab.diagnostics import MetricsRecord
 from advlab.errors import ConfigError, NumericError, ShapeError
+from advlab.gradcheck import KINK_MARGIN, _clear_of_kinks
 from advlab.netcore import (
     DiffModel,
     ModelSpec,
@@ -241,7 +242,8 @@ class TestGradients:
         y = np.array([0, 1, 2, 1])
         dm = DiffModel(model)
         dm.logits(x)
-        pre = np.concatenate([p.ravel() for _, p in dm.tape[:-1]])
+        pre = np.concatenate([(t @ model.params[f"w{i}"] + model.params[f"b{i}"]).ravel()
+                              for i, t in enumerate(dm.tape[:-1])])
         assert np.abs(pre).min() > 1e-3  # finite differences need no relu kink
         g, gx = ce_grads(model, x, y)
 
@@ -260,10 +262,30 @@ class TestGradients:
         dm = DiffModel(model)
         logits = dm.logits(x)
         assert np.array_equal(logits, forward_logits(model, x))
+        # the tape holds each layer's input, and the last one's affine map
+        # gives the logits
+        p = model.params
         assert len(dm.tape) == 3
-        assert np.array_equal(dm.tape[0][0], x)
-        assert np.array_equal(dm.tape[1][0], np.tanh(dm.tape[0][1]))
-        assert np.array_equal(dm.tape[2][1], logits)
+        assert np.array_equal(dm.tape[0], x)
+        assert np.array_equal(dm.tape[1], np.tanh(x @ p["w0"] + p["b0"]))
+        assert np.array_equal(dm.tape[2], np.tanh(dm.tape[1] @ p["w1"] + p["b1"]))
+        assert np.array_equal(dm.tape[2] @ p["w2"] + p["b2"], logits)
+
+    @pytest.mark.parametrize("b0, b1, clear", [
+        ((-1.0005, 0.0), (0.0, 0.0), False),  # layer 0's pre-activation is -5e-4
+        ((0.0, 0.0), (-0.9995, 0.0), False),  # layer 1's is +5e-4
+        ((0.0, 0.0), (0.0, 0.0), True),
+        ((-2.0, 0.0), (1.0, 0.0), True),  # a dead unit far from its kink
+    ])
+    def test_gradcheck_refuses_a_relu_pre_activation_near_its_kink(self, b0, b1, clear):
+        # the tape keeps the activation max(pre, 0), which hides how far a
+        # negative pre-activation lies from 0: the check must recompute it
+        assert KINK_MARGIN > 5e-4
+        eye = np.eye(2)
+        layers = [(eye, b0), (eye, b1), ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], np.zeros(3))]
+        x = np.array([[1.0, 2.0]])
+        assert _clear_of_kinks(model_from_arrays(2, layers), x) == clear
+        assert _clear_of_kinks(model_from_arrays(2, layers, "tanh"), x)  # tanh has no kink
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_reused_diff_model_matches_fresh_ones(self, rng, activation):

@@ -177,12 +177,8 @@ def _load_checkpoint_for(config: ExperimentConfig, path, dataset: Dataset) -> Ch
 
     Only the architecture is compared, not ``init_seed``: a checkpoint made
     by ``advlab train --seed N`` fits its config whatever seed that names.
-    The checkpoint must record its run's ``base_seed``, which seeds the
-    sweep's continuation and every evaluation attack's random start.
     """
     ckpt = load_checkpoint(path)
-    if "base_seed" not in ckpt.rng_state:
-        raise CheckpointError(f"{path}: rng state has no base_seed")
     want = config.model_spec(dataset)
     if replace(ckpt.model.spec, init_seed=want.init_seed) != want:
         raise CheckpointError(
@@ -267,7 +263,7 @@ def cmd_sweep(args) -> int:
     ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
     # continue with the checkpoint's own training seed, so eta = 0 reproduces
     # the run that wrote it
-    train_cfg = replace(config.train, seed=ckpt.rng_state["base_seed"])
+    train_cfg = replace(config.train, seed=ckpt.base_seed)
     rows = stepsize_sweep(ckpt, (train_set, test_set), etas, train_cfg)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -282,6 +278,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not 0 < args.tolerance < float("inf"):
+        raise ConfigError(f"tolerance must be finite and positive, got {args.tolerance}")
     config = load_config(args.config)
     results = gradcheck_mod.run_all(
         cases=args.cases, h=args.h, attack=config.train.train_attack,

@@ -68,15 +68,9 @@ class MetricsRecord:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
-            epoch=int(d["epoch"]), method=str(d["method"]), lr=float(d["lr"]),
-            clean_acc_train=float(d["clean_acc_train"]),
-            clean_acc_test=float(d["clean_acc_test"]),
-            robust_acc_train=float(d["robust_acc_train"]),
-            robust_acc_test=float(d["robust_acc_test"]),
-            ac_train=float(d["ac_train"]), ac_test=float(d["ac_test"]),
-            wall_time_s=float(d.get("wall_time_s", 0.0)),
-        )
+        """``to_dict``'s row; ``wall_time_s`` is not read: it is written as 0.0."""
+        return cls(epoch=int(d["epoch"]), method=str(d["method"]),
+                   **{name: float(d[name]) for name in CSV_COLUMNS[2:]})
 
 
 @dataclass(frozen=True)

@@ -162,6 +162,8 @@ def run_all(cases=100, h=1e-5, attack=None):
     """The full gradient gate."""
     if not h > 0:
         raise ConfigError(f"finite-difference step must be positive, got {h}")
+    if cases < 1:
+        raise ConfigError(f"the gradient check needs at least 1 case, got {cases}")
     return [
         check_ce_grad(cases=cases, h=h),
         check_trades_grad(cases=max(5, cases // 4), h=h),

@@ -165,13 +165,15 @@ class Measured:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """The weights after epoch ``epoch`` with their history row and, when
-    ``train_run`` made them, the record of their attack passes."""
+    """The weights after epoch ``epoch`` of the run seeded ``base_seed``,
+    with their history row and, when ``train_run`` made them, the record of
+    their attack passes. A run resumed from it continues at epoch
+    ``epoch + 1``."""
 
     model: ModelState
     epoch: int
     optimizer_momentum: ParamVector
-    rng_state: dict
+    base_seed: int
     metrics_row: MetricsRecord
     measured: Optional[Measured] = None
 
@@ -215,7 +217,7 @@ def checkpoint_pass(checkpoint: Checkpoint, split, dataset: Dataset, attack: Att
                  None) if fits else None
     num_classes = checkpoint.model.spec.num_classes
     if found is None:
-        rng = eval_rng(attack, checkpoint.rng_state["base_seed"], checkpoint.epoch, split)
+        rng = eval_rng(attack, checkpoint.base_seed, checkpoint.epoch, split)
         _, ac, preds = attacked_stats(checkpoint.model, dataset, attack, rng)
         if fits:
             checkpoint = replace(checkpoint, measured=replace(
@@ -444,10 +446,6 @@ def log_epoch(row: MetricsRecord, batches, label=""):
     )
 
 
-def _rng_record(config: TrainConfig, next_epoch) -> dict:
-    return {"base_seed": int(config.seed), "next_epoch": int(next_epoch)}
-
-
 def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint] = None):
     """Full training loop; returns (final, best, history).
 
@@ -478,11 +476,9 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     best: Optional[Checkpoint] = None
     last: Optional[Checkpoint] = None
     if resume_from is not None:
-        if resume_from.rng_state.get("base_seed") != config.seed:
-            raise CheckpointError(
-                f"checkpoint base_seed {resume_from.rng_state.get('base_seed')} "
-                f"does not match the config seed {config.seed}"
-            )
+        if resume_from.base_seed != config.seed:
+            raise CheckpointError(f"checkpoint base_seed {resume_from.base_seed} does not "
+                                  f"match the config seed {config.seed}")
         model = resume_from.model
         start_epoch = resume_from.epoch + 1
         opt = OptState(resume_from.optimizer_momentum, start_epoch, 0)
@@ -506,8 +502,7 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
         history.append(row)
         measured = Measured(config.eval_attack, (train_set.sha256, test_set.sha256),
                             model.params.sha256(), passes)
-        last = Checkpoint(model, epoch, momentum, _rng_record(config, epoch + 1), row,
-                          measured)
+        last = Checkpoint(model, epoch, momentum, config.seed, row, measured)
         if best is None or row.robust_acc_test > best.metrics_row.robust_acc_test:
             best = last
         log_epoch(row, nb)
@@ -566,8 +561,8 @@ def _preds_dtype(num_classes) -> np.dtype:
 
 def _measured_record(measured: Measured, num_classes) -> dict:
     return {"attack": _attack_record(measured.attack),
-            "sha256": dict(zip(SPLITS, measured.sha256)),
-            "params_sha256": measured.params_sha256,
+            "sha256": {name: str(digest) for name, digest in zip(SPLITS, measured.sha256)},
+            "params_sha256": str(measured.params_sha256),
             "passes": [{"split": p.split, "attack": _attack_record(p.attack),
                         "preds": base64.b64encode(p.preds.astype(_preds_dtype(num_classes))
                                                   .tobytes()).decode("ascii"),
@@ -575,29 +570,21 @@ def _measured_record(measured: Measured, num_classes) -> dict:
 
 
 def _attack_from(record) -> AttackConfig:
-    """An attack record read back; ValueError or TypeError unless it is what
-    ``_attack_record`` writes."""
+    """An attack record read back (``_attack_record``)."""
     clamp = record["domain_clamp"]
-    attack = AttackConfig(**{**record, "domain_clamp": tuple(clamp)
-                             if isinstance(clamp, list) else clamp})
-    if (json.dumps(_attack_record(attack), sort_keys=True, allow_nan=False)
-            != json.dumps(record, sort_keys=True, allow_nan=False)):
-        raise ValueError(f"measured attack {record} has a field of the wrong type")
-    return attack
+    return AttackConfig(**{**record, "domain_clamp": tuple(clamp)
+                           if isinstance(clamp, list) else clamp})
 
 
 def _pass_from(entry, num_classes) -> Pass:
-    """A ``passes`` entry read back; ValueError or TypeError unless it is
-    what ``_measured_record`` writes, with predictions below ``num_classes``."""
-    if not (isinstance(entry, dict) and set(entry) == {"split", "attack", "preds", "ac"}):
-        raise ValueError("a measured pass must hold exactly split, attack, preds, ac")
+    """A ``passes`` entry read back (``_measured_record``); ValueError unless
+    its split is a name in ``SPLITS``, its ``ac`` is finite and non-negative
+    and its predictions are base64 of classes below ``num_classes``."""
     if entry["split"] not in SPLITS:
         raise ValueError(f"measured pass split {entry['split']!r} is not one of {SPLITS}")
     ac = entry["ac"]
-    if not (type(ac) is float and 0.0 <= ac < float("inf")):
-        raise ValueError(f"measured pass ac {ac!r} is not a finite non-negative float")
-    if not isinstance(entry["preds"], str):
-        raise ValueError("measured pass preds is not a string")
+    if not 0.0 <= ac < float("inf"):
+        raise ValueError(f"measured pass ac {ac!r} is not finite and non-negative")
     preds = np.frombuffer(base64.b64decode(entry["preds"], validate=True),
                           dtype=_preds_dtype(num_classes))
     if preds.size and preds.max() >= num_classes:
@@ -606,47 +593,56 @@ def _pass_from(entry, num_classes) -> Pass:
 
 
 def _measured_from(record, num_classes) -> Optional[Measured]:
-    """The ``measured`` header key read back; ValueError or TypeError unless
-    it is what ``_measured_record`` writes. A record in the counts format of
-    earlier versions (keys ``attack``, the splits, and ``params_sha256`` and
-    ``passes`` or not) is None: it is never read."""
+    """The ``measured`` header key read back (``_measured_record``), or None
+    for a record in the counts format of earlier versions (keys ``attack``,
+    the splits, and ``params_sha256`` and ``passes`` or not): it is never
+    read."""
     if (isinstance(record, dict) and {"attack", *SPLITS} <= set(record)
             <= {"attack", *SPLITS, "params_sha256", "passes"}):
         return None
-    if not (isinstance(record, dict)
-            and set(record) == {"attack", "sha256", "params_sha256", "passes"}):
-        raise ValueError("measured must hold exactly attack, sha256, params_sha256, passes")
-    digests = record["sha256"]
-    if not (isinstance(digests, dict) and set(digests) == set(SPLITS)
-            and all(isinstance(d, str) for d in digests.values())):
-        raise ValueError(f"measured sha256 must map {', '.join(SPLITS)} to strings")
-    if not isinstance(record["params_sha256"], str):
-        raise ValueError("measured params_sha256 is not a string")
-    if not isinstance(record["passes"], list):
-        raise ValueError("measured passes is not a list")
     return Measured(_attack_from(record["attack"]),
-                    tuple(digests[name] for name in SPLITS), record["params_sha256"],
+                    tuple(record["sha256"][name] for name in SPLITS), record["params_sha256"],
                     tuple(_pass_from(entry, num_classes) for entry in record["passes"]))
 
 
-def save_checkpoint(checkpoint: Checkpoint, path) -> None:
+def _header(checkpoint: Checkpoint) -> dict:
+    """The JSON header ``save_checkpoint`` writes for ``checkpoint``, each
+    value cast to the type it is written as; ``next_epoch`` is ``epoch + 1``.
+    ``_read_checkpoint`` loads a header only if this gives it back."""
     spec = checkpoint.model.spec
+    epoch = int(checkpoint.epoch)
     header = {
         "version": 1,
         "spec": {
-            "input_dim": spec.input_dim,
+            "input_dim": int(spec.input_dim),
             "layer_widths": list(spec.layer_widths),
             "activation": spec.activation,
             "init_seed": int(spec.init_seed),
         },
-        "epoch": int(checkpoint.epoch),
-        "rng": {k: int(v) for k, v in checkpoint.rng_state.items()},
+        "epoch": epoch,
+        "rng": {"base_seed": int(checkpoint.base_seed), "next_epoch": epoch + 1},
         "metrics": checkpoint.metrics_row.to_dict(),
         "segments": [[name, list(arr.shape)] for name, arr in checkpoint.model.params.items()],
     }
     if checkpoint.measured is not None:
         header["measured"] = _measured_record(checkpoint.measured, spec.num_classes)
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return header
+
+
+def _same(a, b) -> bool:
+    """Whether two JSON values are equal with the same types throughout:
+    ``1``, ``1.0`` and ``true`` differ, and NaN equals nothing."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(map(_same, a.values(), map(b.get, a)))
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+def save_checkpoint(checkpoint: Checkpoint, path) -> None:
+    blob = json.dumps(_header(checkpoint), sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<I", len(blob)))
@@ -666,6 +662,11 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _read_checkpoint(f, path) -> Checkpoint:
+    """The checkpoint in the open file ``f`` at ``path``. Its header loads
+    only if ``_header`` of the checkpoint built from it is the same JSON
+    (``_same``), bar a ``measured`` key in the counts format of earlier
+    versions, which is not read; beside that rule stand the checks of meaning
+    (version, sizes, epoch, finite payload, ``_pass_from``'s)."""
     size = os.fstat(f.fileno()).st_size
     start = len(CKPT_MAGIC) + 4
     head = f.read(start)
@@ -683,25 +684,19 @@ def _read_checkpoint(f, path) -> Checkpoint:
     if header.get("version") != 1:
         raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')}")
     try:
-        spec = ModelSpec(
-            input_dim=int(header["spec"]["input_dim"]),
-            layer_widths=tuple(header["spec"]["layer_widths"]),
-            activation=str(header["spec"]["activation"]),
-            init_seed=int(header["spec"]["init_seed"]),
-        )
+        spec = ModelSpec(**header["spec"])
         segments = [(str(n), tuple(int(d) for d in shape)) for n, shape in header["segments"]]
         if any(d < 0 for _, shape in segments for d in shape):
             raise ValueError(f"negative segment dimension in {header['segments']}")
         metrics = MetricsRecord.from_dict(header["metrics"])
-        epoch = int(header["epoch"])
+        epoch = header["epoch"]
         if not 0 <= epoch == metrics.epoch:
             raise ValueError(f"epoch {epoch} must be non-negative and equal its metrics "
                              f"row's epoch {metrics.epoch}")
-        rng_state = {str(k): int(v) for k, v in header["rng"].items()}
+        base_seed = header["rng"]["base_seed"]
         measured = (_measured_from(header["measured"], spec.num_classes)
                     if "measured" in header else None)
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, ConfigError,
-            NumericError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError, ConfigError, NumericError) as exc:
         raise CheckpointError(f"{path}: malformed header fields: {exc}") from exc
     count = sum(math.prod(shape) for _, shape in segments)
     want, found = 2 * 8 * count, size - start - hlen
@@ -722,4 +717,12 @@ def _read_checkpoint(f, path) -> Checkpoint:
         raise CheckpointError(f"{path}: parameters do not match spec: {exc}") from exc
     if not (params.allfinite() and buf.allfinite()):
         raise CheckpointError(f"{path}: non-finite parameters or momentum")
-    return Checkpoint(model, epoch, buf, rng_state, metrics, measured)
+    checkpoint = Checkpoint(model, epoch, buf, base_seed, metrics, measured)
+    if measured is None:
+        header.pop("measured", None)  # the counts format of earlier versions, unread
+    try:
+        if not _same(_header(checkpoint), header):
+            raise ValueError("writing the checkpoint back gives another header")
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header fields: {exc}") from exc
+    return checkpoint

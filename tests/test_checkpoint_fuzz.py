@@ -1,10 +1,11 @@
 """Fuzzed checkpoint headers: whatever a header holds, ``load_checkpoint``
 returns a checkpoint or raises ``CheckpointError``, and ``advlab eval`` exits
-0 or 4, never with a traceback. A mutation of the ``measured`` record that
+0 or 4, never with a traceback. A mutation anywhere in the header that
 changes a value's JSON type, drops a key or an element, or adds one is always
-a ``CheckpointError``, except that dropping one pass leaves a record that
-covers less. Whatever a pass's ``preds`` string holds, ``advlab eval`` and
-``advlab heatmap`` exit 0 or 4."""
+a ``CheckpointError``, except that dropping the ``measured`` record or one of
+its passes leaves a checkpoint that records less, and that a ``domain_clamp``
+may be a list of two floats. Whatever a pass's ``preds`` string holds,
+``advlab eval`` and ``advlab heatmap`` exit 0 or 4."""
 
 import base64
 import copy
@@ -64,22 +65,17 @@ def paths(node, prefix=()):
         yield from paths(value, prefix + (key,))
 
 
-def mutate(header, data, root=()):
-    """A copy of ``header`` with one value at or below ``root`` replaced, or
-    one key or element below it removed or added: (copy, kind, path, old
-    value, new value)."""
+def mutate(header, data):
+    """A copy of ``header`` with one value in it replaced, or one key or
+    element removed or added: (copy, kind, path, old value, new value)."""
     out = copy.deepcopy(header)
-    below = dict(paths(out[root[0]], root)) if root else dict(paths(out))
-    if root:
-        below[root] = out[root[0]]
-    path = data.draw(st.sampled_from(sorted(below, key=repr)))
+    path = data.draw(st.sampled_from(sorted(dict(paths(out)), key=repr)))
     *parent_path, key = path
     parent = out
     for k in parent_path:
         parent = parent[k]
     old = parent[key]
-    kinds = ["replace"] + (["remove"] if path != root else [])
-    kinds += ["add"] if isinstance(old, (dict, list)) else []
+    kinds = ["replace", "remove"] + (["add"] if isinstance(old, (dict, list)) else [])
     kind = data.draw(st.sampled_from(kinds))
     new = data.draw(VALUE)
     if kind == "remove":
@@ -120,8 +116,10 @@ def test_any_header_loads_or_is_a_checkpoint_error(run, data):
 
 
 def optional(kind, path):
-    """Whether the mutation drops what a record may lack: one of the passes."""
-    return kind == "remove" and path[:2] == ("measured", "passes") and len(path) == 3
+    """Whether the mutation drops what a checkpoint may lack: the ``measured``
+    record or one of its passes."""
+    return kind == "remove" and (path == ("measured",) or (
+        path[:2] == ("measured", "passes") and len(path) == 3))
 
 
 def valid_clamp(path, value):
@@ -132,13 +130,13 @@ def valid_clamp(path, value):
 
 @FUZZ
 @given(data=st.data())
-def test_a_broken_measured_record_is_a_checkpoint_error(run, data):
+def test_a_broken_header_is_a_checkpoint_error(run, data):
     cfg, ckpt, header, root = run
-    mutated, kind, path, old, new = mutate(header, data, root=("measured",))
+    mutated, kind, path, old, new = mutate(header, data)
     if kind == "replace":
         # a change of JSON type only; int, float and bool count as three types
         assume(type(new) is not type(old) and not valid_clamp(path, new))
-    bad = root / "bad_measured.ckpt"
+    bad = root / "bad_header.ckpt"
     write(ckpt, mutated, bad)
     if optional(kind, path):
         load_checkpoint(bad)

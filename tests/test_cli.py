@@ -271,7 +271,31 @@ MALFORMED = {
     "header_length_all_ones": dict(edit_bytes=lambda raw: raw[:8]
                                    + struct.pack("<I", 0xFFFFFFFF) + b"{}"),
     "segment_1e9_by_1e9": dict(edit_header=set_field(("segments", 0, 1), [10**9, 10**9])),
+    # a header that writing its checkpoint back does not give: a value of
+    # another JSON type, a key extra or missing, a derived value not derived
+    "epoch_fraction": dict(edit_header=compose(set_field(("epoch",), 2.7),
+                                               set_field(("metrics", "epoch"), 2.2))),
+    "epochs_float": dict(edit_header=compose(set_field(("epoch",), 1.0),
+                                             set_field(("metrics", "epoch"), 1.0))),
+    "next_epoch_not_epoch_plus_1": dict(edit_header=set_field(("rng", "next_epoch"), 99)),
+    "rng_extra_key": dict(edit_header=set_field(("rng", "step"), 0)),
+    "rng_base_seed_fraction": dict(edit_header=set_field(("rng", "base_seed"), 0.5)),
+    "rng_without_base_seed": dict(edit_header=drop_field("rng", "base_seed")),
+    "spec_input_dim_float": dict(edit_header=edit_field(("spec", "input_dim"), float)),
+    "spec_init_seed_text": dict(edit_header=edit_field(("spec", "init_seed"), str)),
+    "spec_layer_width_float": dict(edit_header=edit_field(("spec", "layer_widths", 0), float)),
+    "metrics_lr_text": dict(edit_header=edit_field(("metrics", "lr"), str)),
+    "metrics_method_number": dict(edit_header=set_field(("metrics", "method"), 0)),
+    "metrics_clean_acc_text": dict(edit_header=edit_field(("metrics", "clean_acc_test"), str)),
+    "metrics_wall_time_nonzero": dict(edit_header=set_field(("metrics", "wall_time_s"), 3.5)),
+    "version_float": dict(edit_header=set_field(("version",), 1.0)),
+    "segment_dimension_float": dict(edit_header=edit_field(("segments", 0, 1, 0), float)),
 }
+# the cases refused at lookup (``checkpoint_pass``), not at load: a recorded
+# pass that disagrees with its split or with the metrics row
+AT_LOOKUP = {"measured_short_preds", "measured_robust_acc_not_the_row",
+             "measured_ac_not_the_row", "measured_doubled_preds", "pass_short_preds",
+             "pass_doubled_preds"}
 
 
 @pytest.fixture
@@ -501,8 +525,10 @@ class TestEvalCommand:
         bad = tmp_path / "bad.ckpt"
         rewrite_checkpoint(out / "last.ckpt", bad, **MALFORMED[case])
         capsys.readouterr()
-        assert main(["eval", "--config", str(cfg), "--checkpoint", str(bad)]) == 4
-        assert capsys.readouterr().err.startswith(f"checkpoint error: {bad}: ")
+        commands = [["eval"]] + ([] if case in AT_LOOKUP else [["sweep", "--etas", "0"]])
+        for command in commands:
+            assert main(command + ["--config", str(cfg), "--checkpoint", str(bad)]) == 4
+            assert capsys.readouterr().err.startswith(f"checkpoint error: {bad}: ")
 
     @pytest.mark.parametrize("command", [["eval"], ["heatmap"], ["sweep", "--etas", "0"]])
     @pytest.mark.parametrize("where", ["missing", "directory"])
@@ -1003,6 +1029,15 @@ class TestGradcheckCommand:
         cfg, _ = quick_config()
         for h in ("1e-4", "1e-5", "1e-6"):
             assert main(["gradcheck", "--config", str(cfg), "--cases", "5", "--h", h]) == 0
+
+    @pytest.mark.parametrize("flags", [["--cases", "0"], ["--cases", "-3"],
+                                       ["--tolerance", "inf"], ["--tolerance", "nan"],
+                                       ["--tolerance", "0"], ["--tolerance=-1e-4"]])
+    def test_gate_that_checks_nothing_exit_2(self, quick_config, capsys, flags):
+        # no case checked, or a tolerance that every error, or none, is below
+        cfg, _ = quick_config()
+        assert main(["gradcheck", "--config", str(cfg)] + flags) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_fault_injection_exit_5(self, quick_config, monkeypatch, capsys):
         def wrong(*args, **kwargs):

@@ -217,14 +217,14 @@ class TestGaps:
     def test_certainty_gap_zero_for_same_model(self):
         model = init_model(ModelSpec(4, (8, 3), "relu", 0))
         ds = make_gaussian_mixture(3, 4, 20, 3.0, 0.8, seed=2)
-        ck = Checkpoint(model, 0, model.params.zeros_like(), {}, record(0, 0.5))
+        ck = Checkpoint(model, 0, model.params.zeros_like(), 0, record(0, 0.5))
         assert certainty_gap(ck, ck, ds, pgd_cfg(0.2)) == 0.0
 
     @pytest.mark.parametrize("rng", [0, np.random.default_rng(0)])
     def test_certainty_gap_zero_for_same_model_with_random_start(self, rng):
         model = init_model(ModelSpec(4, (8, 3), "relu", 0))
         ds = make_gaussian_mixture(3, 4, 20, 3.0, 0.8, seed=2)
-        ck = Checkpoint(model, 0, model.params.zeros_like(), {}, record(0, 0.5))
+        ck = Checkpoint(model, 0, model.params.zeros_like(), 0, record(0, 0.5))
         atk = AttackConfig(norm="linf", epsilon=0.2, step_size=0.08, steps=5,
                            random_start=True)
         assert certainty_gap(ck, ck, ds, atk, rng) == 0.0
@@ -234,8 +234,8 @@ class TestGaps:
         const = model_from_arrays(4, [(np.zeros((4, 8)), np.zeros(8)),
                                       (np.zeros((8, 3)), np.zeros(3))])
         confident = init_model(ModelSpec(4, (8, 3), "relu", 0))
-        best = Checkpoint(const, 0, const.params.zeros_like(), {}, record(0, 0.5))
-        last = Checkpoint(confident, 1, confident.params.zeros_like(), {}, record(1, 0.4))
+        best = Checkpoint(const, 0, const.params.zeros_like(), 0, record(0, 0.5))
+        last = Checkpoint(confident, 1, confident.params.zeros_like(), 0, record(1, 0.4))
         gap = certainty_gap(best, last, ds, pgd_cfg(0.2))
         assert gap == pytest.approx(dataset_certainty(confident, ds, pgd_cfg(0.2)))
         assert gap >= 0.0
@@ -244,8 +244,8 @@ class TestGaps:
         ds = make_gaussian_mixture(3, 4, 10, 3.0, 0.8, seed=2)
         a = init_model(ModelSpec(4, (8, 3), "relu", 0))
         b = init_model(ModelSpec(4, (6, 3), "relu", 0))
-        ck_a = Checkpoint(a, 0, a.params.zeros_like(), {}, record(0, 0.5))
-        ck_b = Checkpoint(b, 0, b.params.zeros_like(), {}, record(0, 0.5))
+        ck_a = Checkpoint(a, 0, a.params.zeros_like(), 0, record(0, 0.5))
+        ck_b = Checkpoint(b, 0, b.params.zeros_like(), 0, record(0, 0.5))
         with pytest.raises(CheckpointError):
             certainty_gap(ck_a, ck_b, ds, pgd_cfg(0.2))
 

@@ -73,7 +73,7 @@ class TestParamVector:
         dm = DiffModel(model)
         grad = backward(dm, dm.logits(rng.normal(size=(4, 3))))
         row = MetricsRecord(0, "at", 0.1, 0.5, 0.5, 0.5, 0.5, 0.1, 0.1)
-        save_checkpoint(Checkpoint(model, 0, grad, {"base_seed": 0}, row), tmp_path / "c.ckpt")
+        save_checkpoint(Checkpoint(model, 0, grad, 0, row), tmp_path / "c.ckpt")
         loaded = load_checkpoint(tmp_path / "c.ckpt")
         for pv in (a, a + a, a * 0.5, grad, loaded.model.params, loaded.optimizer_momentum):
             flat = pv.flatten()

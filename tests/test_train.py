@@ -459,7 +459,7 @@ class TestCheckpointIO:
         assert again.model.params.equals(last.model.params)
         assert again.optimizer_momentum.equals(last.optimizer_momentum)
         assert again.epoch == last.epoch
-        assert again.rng_state == last.rng_state
+        assert again.base_seed == last.base_seed
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         train, test = tiny_data()
@@ -475,13 +475,12 @@ class TestCheckpointIO:
         assert [m.robust_acc_test for m in resumed_hist] == \
             [m.robust_acc_test for m in full_hist[2:]]
 
-    @pytest.mark.parametrize("rng_state", [{"next_epoch": 2}, {"base_seed": 1, "next_epoch": 2}])
-    def test_resume_requires_the_same_seed(self, rng_state):
+    def test_resume_requires_the_same_seed(self):
         train, test = tiny_data()
         spec = ModelSpec(4, (8, 3), "relu", 0)
         half_last, _, _ = train_run(tiny_config(epochs=2), (train, test), spec)
         other = Checkpoint(half_last.model, half_last.epoch, half_last.optimizer_momentum,
-                           rng_state, half_last.metrics_row)
+                           1, half_last.metrics_row)
         with pytest.raises(CheckpointError, match="base_seed"):
             train_run(tiny_config(epochs=4), (train, test), spec, resume_from=other)
 

@@ -3,9 +3,9 @@
 Each randomized case builds a small model and batch, computes the gradient
 with the function training and the attacks use, and a central-difference
 oracle over the flattened parameters (or the inputs), and reports the worst
-relative error. Cases are resampled when any relu pre-activation or logit
-spread sits within the guard margin of a non-differentiable point, since
-finite differences are meaningless across a kink.
+relative error. A case is redrawn, not counted, when any relu pre-activation
+or logit spread sits within the guard margin of a non-differentiable point,
+since finite differences are meaningless across a kink.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .objective import (
 )
 
 KINK_MARGIN = 1e-3
+MAX_REDRAWS = 50
 DEFAULT_TOLERANCE = 1e-4
 
 
@@ -68,105 +69,89 @@ def _clear_of_kinks(model: ModelState, x) -> bool:
     return row_std_value(logits).min(initial=np.inf) >= KINK_MARGIN
 
 
-def _random_case(rng, max_tries=50):
-    """A small random model and batch, clear of relu kinks and zero spread."""
-    for _ in range(max_tries):
-        n = int(rng.integers(2, 6))
-        hidden = tuple(int(rng.integers(2, 7)) for _ in range(int(rng.integers(1, 3))))
-        k = int(rng.integers(2, 5))
-        activation = "relu" if rng.random() < 0.5 else "tanh"
-        spec = ModelSpec(n, hidden + (k,), activation, int(rng.integers(0, 2**31)))
-        model = init_model(spec)
-        b = int(rng.integers(1, 5))
-        x = rng.normal(0.0, 1.5, size=(b, n))
-        y = rng.integers(0, k, size=b)
-        if _clear_of_kinks(model, x):
-            return model, Batch(x, np.asarray(y, dtype=np.int64))
-    raise RuntimeError("could not sample a kink-free gradient-check case")
+def _draw(rng):
+    """One small random model and batch; ``_gate`` checks it for kinks."""
+    n = int(rng.integers(2, 6))
+    hidden = tuple(int(rng.integers(2, 7)) for _ in range(int(rng.integers(1, 3))))
+    k = int(rng.integers(2, 5))
+    activation = "relu" if rng.random() < 0.5 else "tanh"
+    spec = ModelSpec(n, hidden + (k,), activation, int(rng.integers(0, 2**31)))
+    model = init_model(spec)
+    b = int(rng.integers(1, 5))
+    x = rng.normal(0.0, 1.5, size=(b, n))
+    y = rng.integers(0, k, size=b)
+    return model, Batch(x, np.asarray(y, dtype=np.int64))
 
 
-def _robust_grad_err(model, adv, objective, h) -> float:
-    g, _ = robust_grad(model, adv, objective)
-
-    def loss(params):
-        return robust_loss(ModelState(model.spec, params), adv, objective)
-
-    fd = finite_diff_param_grad(loss, model.params, h)
-    return rel_err(g.flatten(), fd.flatten())
-
-
-def check_ce_grad(cases=100, h=1e-5, seed=0) -> GradCheckResult:
+def _gate(name, cases, seed, error) -> GradCheckResult:
+    """The worst ``error(model, batch, rng)`` over ``cases`` draws clear of
+    kinks. A draw near one, by ``_clear_of_kinks`` or by ``error`` returning
+    None, is replaced; ``MAX_REDRAWS`` in a row end the gate."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        model, batch = _random_case(rng)
-        clean = AdversarialBatch(batch.inputs, batch.inputs, batch.labels, AttackConfig())
-        worst = max(worst, _robust_grad_err(model, clean, ObjectiveKind("at_ce"), h))
-    return GradCheckResult("grad_params", cases, worst)
-
-
-def check_trades_grad(cases=25, h=1e-5, seed=1) -> GradCheckResult:
-    rng = np.random.default_rng(seed)
-    objective = ObjectiveKind("trades", trades_beta=2.0)
-    worst = 0.0
-    for _ in range(cases):
-        model, batch = _random_case(rng)
-        perturbed = batch.inputs + rng.normal(0.0, 0.05, size=batch.inputs.shape)
-        if not _clear_of_kinks(model, perturbed):
+    worst, checked, redraws = 0.0, 0, 0
+    while checked < cases:
+        model, batch = _draw(rng)
+        err = error(model, batch, rng) if _clear_of_kinks(model, batch.inputs) else None
+        if err is not None:
+            worst, checked, redraws = max(worst, err), checked + 1, 0
             continue
-        # noise of sd 0.05 stays far inside the radius 1
-        adv = AdversarialBatch(batch.inputs, perturbed, batch.labels, AttackConfig(epsilon=1.0))
-        worst = max(worst, _robust_grad_err(model, adv, objective, h))
-    return GradCheckResult("grad_params_trades", cases, worst)
+        redraws += 1
+        if redraws == MAX_REDRAWS:
+            raise RuntimeError(f"{name}: could not sample a kink-free gradient-check case")
+    return GradCheckResult(name, cases, worst)
 
 
-def check_input_grad(cases=100, h=1e-5, seed=2) -> GradCheckResult:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(cases):
-        model, batch = _random_case(rng)
-        x, y = batch.inputs[0], int(batch.labels[0])
-        g = _ce_grad_x(DiffModel(model), x[None, :], np.array([y]))[0]
-
-        def loss_of_x(xx):
-            return float(ce_rows_value(forward_logits(model, xx[None, :]), np.array([y]))[0])
-
-        fd = finite_diff_grad(loss_of_x, x, h)
-        worst = max(worst, rel_err(g, fd))
-    return GradCheckResult("grad_input", cases, worst)
-
-
-def check_certainty_grad(cases=100, h=1e-5, seed=3,
-                         attack: AttackConfig | None = None) -> GradCheckResult:
-    """Certainty gradient with the attack outputs frozen as constants."""
-    rng = np.random.default_rng(seed)
-    attack = attack or AttackConfig(norm="linf", epsilon=0.05, step_size=0.02, steps=3)
-    worst = 0.0
-    done = 0
-    while done < cases:
-        model, batch = _random_case(rng)
-        adv = generate_batch(model, batch, attack, rng=rng)
-        frozen = adv.perturbed.copy()
-        if not _clear_of_kinks(model, frozen):
-            continue
-        g, _ = grad_certainty_frozen(model, frozen)
-        fd = finite_diff_param_grad(
-            lambda params: certainty_value(ModelState(model.spec, params), frozen),
-            model.params, h)
-        worst = max(worst, rel_err(g.flatten(), fd.flatten()))
-        done += 1
-    return GradCheckResult("grad_certainty_frozen", cases, worst)
+def _param_err(model, grad, value, h) -> float:
+    """``grad`` against central differences of ``value(ModelState)`` over the
+    flattened parameters."""
+    fd = finite_diff_param_grad(lambda params: value(ModelState(model.spec, params)),
+                                model.params, h)
+    return rel_err(grad.flatten(), fd.flatten())
 
 
 def run_all(cases=100, h=1e-5, attack=None):
-    """The full gradient gate."""
+    """The full gradient gate: ``cases`` cases each for the CE parameter,
+    input and frozen-certainty gradients, ``max(5, cases // 4)`` for TRADES,
+    each gate on its own seed."""
     if not h > 0:
         raise ConfigError(f"finite-difference step must be positive, got {h}")
     if cases < 1:
         raise ConfigError(f"the gradient check needs at least 1 case, got {cases}")
-    return [
-        check_ce_grad(cases=cases, h=h),
-        check_trades_grad(cases=max(5, cases // 4), h=h),
-        check_input_grad(cases=cases, h=h),
-        check_certainty_grad(cases=cases, h=h, attack=attack),
-    ]
+    attack = attack or AttackConfig(norm="linf", epsilon=0.05, step_size=0.02, steps=3)
+    ce, trades = ObjectiveKind("at_ce"), ObjectiveKind("trades", trades_beta=2.0)
+
+    def robust(model, adv, objective):
+        return _param_err(model, robust_grad(model, adv, objective)[0],
+                          lambda m: robust_loss(m, adv, objective), h)
+
+    def params_ce(model, batch, rng):
+        return robust(model, AdversarialBatch(batch.inputs, batch.inputs, batch.labels,
+                                              AttackConfig()), ce)
+
+    def params_trades(model, batch, rng):
+        perturbed = batch.inputs + rng.normal(0.0, 0.05, size=batch.inputs.shape)
+        if _clear_of_kinks(model, perturbed):
+            # noise of sd 0.05 stays far inside the radius 1
+            return robust(model, AdversarialBatch(batch.inputs, perturbed, batch.labels,
+                                                  AttackConfig(epsilon=1.0)), trades)
+        return None
+
+    def grad_input(model, batch, rng):
+        x, y = batch.inputs[0], np.array([batch.labels[0]])
+        g = _ce_grad_x(DiffModel(model), x[None, :], y)[0]
+        fd = finite_diff_grad(
+            lambda xx: float(ce_rows_value(forward_logits(model, xx[None, :]), y)[0]), x, h)
+        return rel_err(g, fd)
+
+    def certainty(model, batch, rng):
+        """The certainty gradient with the attack outputs frozen as constants."""
+        frozen = generate_batch(model, batch, attack, rng=rng).perturbed.copy()
+        if _clear_of_kinks(model, frozen):
+            return _param_err(model, grad_certainty_frozen(model, frozen)[0],
+                              lambda m: certainty_value(m, frozen), h)
+        return None
+
+    return [_gate("grad_params", cases, 0, params_ce),
+            _gate("grad_params_trades", max(5, cases // 4), 1, params_trades),
+            _gate("grad_input", cases, 2, grad_input),
+            _gate("grad_certainty_frozen", cases, 3, certainty)]

@@ -105,6 +105,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if any(e < 0 for e in self.lr_decay_epochs):
+            raise ConfigError(f"lr_decay_epochs must be non-negative, got {self.lr_decay_epochs}")
         if not 0.0 < self.lr_decay_factor <= 1.0:
             raise ConfigError(f"lr_decay_factor must lie in (0, 1], got {self.lr_decay_factor}")
         if not self.edac_eta >= 0:
@@ -641,6 +643,20 @@ def _same(a, b) -> bool:
     return a == b
 
 
+def _difference(a, b, path=""):
+    """The key path, as ``rng.next_epoch`` or ``segments[0][1]``, of the
+    first place where two JSON values that ``_same`` refuses differ."""
+    if type(a) is type(b) is dict:
+        if a.keys() != b.keys():
+            return f"{path}.{min(a.keys() ^ b.keys())}".lstrip(".")
+        pairs = [(f"{path}.{k}".lstrip("."), a[k], b[k]) for k in a]
+    elif type(a) is type(b) is list and len(a) == len(b):
+        pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
+    else:
+        return path
+    return next(_difference(x, y, at) for at, x, y in pairs if not _same(x, y))
+
+
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     blob = json.dumps(_header(checkpoint), sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
@@ -721,8 +737,10 @@ def _read_checkpoint(f, path) -> Checkpoint:
     if measured is None:
         header.pop("measured", None)  # the counts format of earlier versions, unread
     try:
-        if not _same(_header(checkpoint), header):
-            raise ValueError("writing the checkpoint back gives another header")
+        written = _header(checkpoint)
+        if not _same(written, header):
+            raise ValueError("writing the checkpoint back gives another header at "
+                             + _difference(written, header))
     except (OverflowError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header fields: {exc}") from exc
     return checkpoint

@@ -291,6 +291,11 @@ MALFORMED = {
     "version_float": dict(edit_header=set_field(("version",), 1.0)),
     "segment_dimension_float": dict(edit_header=edit_field(("segments", 0, 1, 0), float)),
 }
+# the first field the header rule names for a case it refuses
+NAMED = {"next_epoch_not_epoch_plus_1": "rng.next_epoch", "rng_extra_key": "rng.step",
+         "spec_input_dim_float": "spec.input_dim", "epochs_float": "epoch",
+         "metrics_wall_time_nonzero": "metrics.wall_time_s", "version_float": "version",
+         "segment_dimension_float": "segments[0][1][0]"}
 # the cases refused at lookup (``checkpoint_pass``), not at load: a recorded
 # pass that disagrees with its split or with the metrics row
 AT_LOOKUP = {"measured_short_preds", "measured_robust_acc_not_the_row",
@@ -454,6 +459,14 @@ class TestTrainCommand:
         assert "expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_lr_decay_epoch_exit_2(self, quick_config, capsys):
+        # it would decay the rate from epoch 0: lr 0.05 trained at 0.005
+        cfg, out = quick_config(**{"seed = 3": "seed = 3\nlr_decay_epochs = 1,-1"})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: lr_decay_epochs must be non-negative, got (1, -1)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("old,new", [
         # numpy refuses both before it allocates anything
         ("hidden = 16", "hidden = 99999999999999999999"),
@@ -528,7 +541,10 @@ class TestEvalCommand:
         commands = [["eval"]] + ([] if case in AT_LOOKUP else [["sweep", "--etas", "0"]])
         for command in commands:
             assert main(command + ["--config", str(cfg), "--checkpoint", str(bad)]) == 4
-            assert capsys.readouterr().err.startswith(f"checkpoint error: {bad}: ")
+            err = capsys.readouterr().err
+            assert err.startswith(f"checkpoint error: {bad}: ")
+            if case in NAMED:
+                assert err.endswith(f"gives another header at {NAMED[case]}\n")
 
     @pytest.mark.parametrize("command", [["eval"], ["heatmap"], ["sweep", "--etas", "0"]])
     @pytest.mark.parametrize("where", ["missing", "directory"])
@@ -1049,6 +1065,31 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--config", str(cfg), "--cases", "3"]) == 5
         assert "gradient check failed for: grad_params, grad_params_trades" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("cases", [8, 100])
+    def test_trades_gate_checks_the_cases_it_reports(self, monkeypatch, cases):
+        # the TRADES gate is the first to look twice at one model (its draw,
+        # then its perturbed batch); the first such second look is refused
+        clear, last, refused, compared = gradcheck._clear_of_kinks, [None], [], []
+
+        def refuse_once(model, x):
+            if model is last[0] and not refused:
+                refused.append(model)
+                return False
+            last[0] = model
+            return clear(model, x)
+
+        def spy(model, adv, objective):
+            compared.append(objective.kind)
+            return robust_grad(model, adv, objective)
+
+        monkeypatch.setattr(gradcheck, "_clear_of_kinks", refuse_once)
+        monkeypatch.setattr(gradcheck, "robust_grad", spy)
+        results = gradcheck.run_all(cases=cases)
+        assert len(refused) == 1
+        assert results[1].name == "grad_params_trades"
+        assert results[1].cases == compared.count("trades") == max(5, cases // 4)
+        assert compared.count("at_ce") == cases
 
 
 class TestCheckpointCompat:

@@ -133,10 +133,20 @@ def _summary(config: ExperimentConfig, history, best: Checkpoint, last: Checkpoi
     return summary, best, last
 
 
+def _make_out_dir(config: ExperimentConfig) -> Path:
+    """The config's output directory, made if missing, before a command does
+    any work; one that cannot be made is a config error."""
+    out_dir = Path(config.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}") from exc
+    return out_dir
+
+
 def cmd_train(args) -> int:
     config = load_config(args.config).with_overrides(seed=args.seed, out_dir=args.out)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(config)
     train_set, test_set = config.build_datasets()
     spec = config.model_spec(train_set)
     try:
@@ -205,6 +215,7 @@ def cmd_eval(args) -> int:
     config = load_config(args.config).with_overrides(out_dir=args.out)
     (test_set,) = config.build_datasets(("test",))
     ckpt = _load_checkpoint_for(config, args.checkpoint, test_set)
+    out_dir = _make_out_dir(config)
     attacks = dict(config.eval_attacks) or {"eval": config.train.eval_attack}
     report = {
         "checkpoint": str(args.checkpoint),
@@ -219,8 +230,6 @@ def cmd_eval(args) -> int:
         racc = confusion_accuracy(confusion)
         report["attacks"][name] = {"robust_acc": racc, "ac": ac}
         print(f"  {name}: robust accuracy {racc:.4f}, certainty {ac:.4f}")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "eval.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -234,12 +243,11 @@ def cmd_heatmap(args) -> int:
     config = load_config(args.config).with_overrides(out_dir=args.out)
     (dataset,) = config.build_datasets((args.split,))
     ckpt = _load_checkpoint_for(config, args.checkpoint, dataset)
+    out_dir = _make_out_dir(config)
     _, confusion, _ = _checkpoint_pass(args.checkpoint, ckpt, SPLITS.index(args.split), dataset,
                                        config.train.eval_attack)
     hm = heatmap_from_confusion(confusion)
     variances = label_level_variance(hm)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_heatmap_csv(out_dir / f"heatmap_{args.split}.csv", hm)
     write_variance_csv(out_dir / f"label_variance_{args.split}.csv", variances)
     print(f"heatmap over {args.split}: mean label-level variance {variances.mean():.4f}")
@@ -264,9 +272,8 @@ def cmd_sweep(args) -> int:
     # continue with the checkpoint's own training seed, so eta = 0 reproduces
     # the run that wrote it
     train_cfg = replace(config.train, seed=ckpt.base_seed)
+    out_dir = _make_out_dir(config)
     rows = stepsize_sweep(ckpt, (train_set, test_set), etas, train_cfg)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(out_dir / "sweep.csv", rows)
     for r in rows:
         status = "ok" if r.ok else "failed"

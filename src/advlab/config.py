@@ -6,14 +6,14 @@ is the reproducibility record for a run, so silent typos are not tolerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from .attack import KINDS, NORMS, AttackConfig
-from .data import (SPLITS, Dataset, SplitSpec, default_benchmark, gaussian_mixture_splits,
-                   load_idx_images, split)
+from .data import SPLITS, Dataset, default_benchmark, gaussian_mixture_splits, idx_splits
 from .errors import ConfigError
 from .netcore import ACTIVATIONS, ModelSpec
 from .objective import OBJECTIVE_KINDS, ObjectiveKind
@@ -159,29 +159,8 @@ def _attack_from(view: SectionView) -> AttackConfig:
 
 
 @dataclass(frozen=True)
-class DatasetSection:
-    kind: str
-    options: dict = field(default_factory=dict)
-
-    def build(self, splits=SPLITS):
-        """Materialise the section's splits named in ``splits``, in that order.
-        A synthetic split not named is never generated; an IDX file pair is
-        read whole and then split."""
-        o = self.options
-        if self.kind == "benchmark":
-            return default_benchmark(o.get("seed"), splits)
-        if self.kind == "gaussian_mixture":
-            return gaussian_mixture_splits(o["classes"], o["dim"], o["train_per_class"],
-                                           o["test_per_class"], o["separation"], o["noise_std"],
-                                           o["seed"], "mixture", splits)
-        full = load_idx_images(o["images"], o["labels"], o.get("downsample_to"))
-        parts = split(full, SplitSpec(o["train_fraction"], o["shuffle_seed"]))
-        return tuple(parts[SPLITS.index(side)] for side in splits)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: DatasetSection
+    dataset: partial  # the [dataset] kind's split builder, all but ``splits`` bound
     hidden: tuple
     activation: str
     init_seed: int
@@ -192,8 +171,9 @@ class ExperimentConfig:
 
     def build_datasets(self, splits=SPLITS):
         """The datasets of the splits a command reads, named in ``splits``, in
-        that order; by default (train, test). See ``DatasetSection.build``."""
-        return self.dataset.build(splits)
+        that order; by default (train, test). A synthetic split not named is
+        never generated; an IDX file pair is read whole and then split."""
+        return self.dataset(splits=splits)
 
     def model_spec(self, dataset: Dataset) -> ModelSpec:
         return ModelSpec(
@@ -246,28 +226,31 @@ def parse_config(text, source="<config>") -> ExperimentConfig:
     kind = ds.get_str("kind", required=True,
                       choices=("benchmark", "gaussian_mixture", "idx"))
     if kind == "benchmark":
-        options = {"seed": ds.get_int("seed")}
+        dataset = partial(default_benchmark, seed=ds.get_int("seed"))
     elif kind == "gaussian_mixture":
-        options = {
-            "classes": ds.get_int("classes", required=True),
-            "dim": ds.get_int("dim", required=True),
-            "train_per_class": ds.get_int("train_per_class", required=True),
-            "test_per_class": ds.get_int("test_per_class", required=True),
-            "separation": ds.get_float("separation", required=True),
-            "noise_std": ds.get_float("noise_std", required=True),
-            "seed": ds.get_int("seed", 0),
-        }
+        dataset = partial(
+            gaussian_mixture_splits,
+            num_classes=ds.get_int("classes", required=True),
+            dim=ds.get_int("dim", required=True),
+            train_per_class=ds.get_int("train_per_class", required=True),
+            test_per_class=ds.get_int("test_per_class", required=True),
+            class_separation=ds.get_float("separation", required=True),
+            noise_std=ds.get_float("noise_std", required=True),
+            seed=ds.get_int("seed", 0),
+            name="mixture",
+        )
     else:
-        options = {
-            "images": ds.get_str("images", required=True),
-            "labels": ds.get_str("labels", required=True),
-            "downsample_to": ds.get_int("downsample_to"),
-            "train_fraction": ds.get_float("train_fraction", 0.8),
-            "shuffle_seed": ds.get_int("shuffle_seed", 0),
-        }
+        dataset = partial(
+            idx_splits,
+            images=ds.get_str("images", required=True),
+            labels=ds.get_str("labels", required=True),
+            downsample_to=ds.get_int("downsample_to"),
+            train_fraction=ds.get_float("train_fraction", 0.8),
+            shuffle_seed=ds.get_int("shuffle_seed", 0),
+        )
     for key in ("seed", "shuffle_seed"):
-        if (options.get(key) or 0) < 0:
-            ds._fail(key, f"must be non-negative, got {options[key]}")
+        if (dataset.keywords.get(key) or 0) < 0:
+            ds._fail(key, f"must be non-negative, got {dataset.keywords[key]}")
     ds.reject_unknown()
 
     model = take("model")
@@ -324,7 +307,7 @@ def parse_config(text, source="<config>") -> ExperimentConfig:
         out.reject_unknown()
 
     return ExperimentConfig(
-        dataset=DatasetSection(kind, options),
+        dataset=dataset,
         hidden=tuple(hidden),
         activation=activation,
         init_seed=init_seed,

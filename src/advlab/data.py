@@ -84,16 +84,6 @@ class Dataset:
         )
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float
-    shuffle_seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError(f"train_fraction must be in (0,1), got {self.train_fraction}")
-
-
 def make_gaussian_mixture(num_classes, dim, per_class, class_separation, noise_std, seed,
                           name="gaussian_mixture") -> Dataset:
     """Isotropic Gaussian blobs around class means laid out on a circle.
@@ -192,19 +182,28 @@ def load_idx_images(images_path, labels_path, downsample_to=None) -> Dataset:
     return Dataset(flat, labels.astype(np.int64), max(num_classes, 2), (0.0, 1.0), "idx")
 
 
-def split(dataset: Dataset, spec: SplitSpec):
+def split(dataset: Dataset, train_fraction, shuffle_seed=0):
     """Disjoint, exhaustive, seeded-shuffle partition into (train, test)."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"train_fraction must be in (0,1), got {train_fraction}")
     n = len(dataset)
-    n_train = int(round(n * spec.train_fraction))
+    n_train = int(round(n * train_fraction))
     if n_train < 1 or n_train >= n:
         raise ConfigError(
-            f"train_fraction {spec.train_fraction} leaves an empty side for {n} examples"
+            f"train_fraction {train_fraction} leaves an empty side for {n} examples"
         )
-    perm = np.random.default_rng(spec.shuffle_seed).permutation(n)
+    perm = np.random.default_rng(shuffle_seed).permutation(n)
     return (
         dataset.subset(perm[:n_train], f"{dataset.name}/train"),
         dataset.subset(perm[n_train:], f"{dataset.name}/test"),
     )
+
+
+def idx_splits(images, labels, downsample_to, train_fraction, shuffle_seed, splits=SPLITS):
+    """The splits named in ``splits``, in that order, of the IDX file pair
+    ``load_idx_images`` reads, which is read whole and then ``split``."""
+    parts = split(load_idx_images(images, labels, downsample_to), train_fraction, shuffle_seed)
+    return tuple(parts[SPLITS.index(side)] for side in splits)
 
 
 def batches(dataset: Dataset, batch_size, epoch_seed):

@@ -1,12 +1,16 @@
 """The benchmark's traced runs patch advlab attributes by name
 (``bench/tracing.py`` ``PATCHES``); a refactor that renames or removes one,
 or changes what a hooked function returns, would crash ``bench/run.py
---trace 1``. These tests keep every hook live."""
+--trace 1``. These tests keep every hook live, and the committed
+``BENCHMARK.json`` the manifest that ``bench/run.py`` writes."""
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
 
 import tracing  # noqa: E402
 
@@ -55,3 +59,16 @@ def test_traced_commands_exit_zero_and_count(tmp_path, monkeypatch):
         "attack.passes", "train.half_step.batches", "train.half_step.cap_bound",
         "diagnostics.attack_passes", "diagnostics.sweep.rows")}
     assert all(v > 0 for v in counts.values()), counts
+
+
+def test_benchmark_json_is_the_manifest_bench_run_writes():
+    # what ``bench/run.py --write-benchmark-json`` writes, built in a child
+    # process: importing run.py sets OPENBLAS_NUM_THREADS for its process
+    build = ("import json, run, tracing\n"
+             "per_layer = [{'name': n, 'unit': u, 'better': 'lower'}\n"
+             "             for n, u in tracing.PER_LAYER.items()]\n"
+             "print(json.dumps(dict(run.BENCHMARK, per_layer=per_layer), indent=2))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "bench"), str(ROOT / "src")])}
+    done = subprocess.run([sys.executable, "-c", build], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout == (ROOT / "BENCHMARK.json").read_text(encoding="utf-8")

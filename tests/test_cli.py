@@ -1166,3 +1166,26 @@ class TestSplitsBuilt:
             made.clear()
             assert main(command) == 0
             assert made == want, command
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command", ["train", "eval", "heatmap", "sweep"])
+    def test_output_directory_that_cannot_be_made_exit_2_before_any_work(
+            self, quick_config, tmp_path, monkeypatch, capsys, command):
+        cfg, out = quick_config()
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [command, "--config", str(cfg), "--out", str(blocker / "sub")]
+        if command != "train":
+            assert main(["train", "--config", str(cfg)]) == 0
+            argv += ["--checkpoint", str(out / "last.ckpt")]
+        if command == "sweep":
+            argv += ["--etas", "0"]
+        ran = []
+        for name in ("train_run", "checkpoint_pass", "clean_accuracy", "stepsize_sweep"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: ran.append(name))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot create output directory {blocker / 'sub'}: Not a directory\n")
+        assert ran == []

@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from test_data import idx_images_bytes, idx_labels_bytes
 
 from advlab.config import parse_config, parse_sectioned
 from advlab.errors import ConfigError
@@ -152,12 +154,15 @@ class TestExperimentConfig:
         train, test = cfg.build_datasets()
         assert len(train) == 2000 and len(test) == 1000
 
-    @pytest.mark.parametrize("kind", ["gaussian_mixture", "benchmark"])
-    def test_each_split_alone_is_its_split_of_the_pair(self, kind):
+    @pytest.mark.parametrize("kind", ["gaussian_mixture", "benchmark", "idx"])
+    def test_each_split_alone_is_its_split_of_the_pair(self, kind, tmp_path):
+        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+        ip.write_bytes(idx_images_bytes(np.arange(10 * 2 * 2, dtype=np.uint8).reshape(10, 2, 2)))
+        lp.write_bytes(idx_labels_bytes([0, 1, 2, 1, 0, 2, 1, 0, 2, 1]))
         section = GOOD[GOOD.index("[dataset]"):GOOD.index("[model]")]
-        text = GOOD if kind == "gaussian_mixture" else GOOD.replace(section, "[dataset]\n"
-                                                                             "kind = benchmark\n")
-        cfg = parse_config(text, "s.ini")
+        sections = {"gaussian_mixture": section, "benchmark": "[dataset]\nkind = benchmark\n",
+                    "idx": f"[dataset]\nkind = idx\nimages = {ip}\nlabels = {lp}\n"}
+        cfg = parse_config(GOOD.replace(section, sections[kind]), "s.ini")
         pair = cfg.build_datasets()
         alone = [cfg.build_datasets((side,))[0] for side in ("train", "test")]
         swapped = cfg.build_datasets(("test", "train"))

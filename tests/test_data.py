@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from advlab.data import (
     Batch,
     Dataset,
-    SplitSpec,
     batches,
     default_benchmark,
     load_idx_images,
@@ -143,25 +142,25 @@ class TestSplit:
     def test_empty_side_rejected(self):
         ds = make_gaussian_mixture(2, 3, 2, 1.0, 0.1, seed=0)
         with pytest.raises(ConfigError):
-            split(ds, SplitSpec(train_fraction=0.05))
+            split(ds, train_fraction=0.05)
 
     def test_partition_is_exhaustive(self):
         ds = make_gaussian_mixture(3, 4, 20, 1.0, 0.3, seed=5)
-        tr, te = split(ds, SplitSpec(0.7, shuffle_seed=2))
+        tr, te = split(ds, 0.7, shuffle_seed=2)
         assert len(tr) + len(te) == len(ds)
         merged = np.concatenate([tr.inputs, te.inputs])
         assert np.array_equal(np.sort(merged, axis=0), np.sort(ds.inputs, axis=0))
 
     def test_same_seed_same_membership(self):
         ds = make_gaussian_mixture(3, 4, 20, 1.0, 0.3, seed=5)
-        a1, _ = split(ds, SplitSpec(0.6, shuffle_seed=3))
-        a2, _ = split(ds, SplitSpec(0.6, shuffle_seed=3))
+        a1, _ = split(ds, 0.6, shuffle_seed=3)
+        a2, _ = split(ds, 0.6, shuffle_seed=3)
         assert np.array_equal(a1.inputs, a2.inputs)
 
     def test_classes_survive_moderate_fractions(self):
         ds = make_gaussian_mixture(4, 3, 8, 1.0, 0.2, seed=1)
         for frac in (0.25, 0.5, 0.75):
-            tr, te = split(ds, SplitSpec(frac, shuffle_seed=0))
+            tr, te = split(ds, frac, shuffle_seed=0)
             assert set(np.unique(tr.labels)) == set(range(4))
             assert set(np.unique(te.labels)) == set(range(4))
 

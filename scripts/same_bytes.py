@@ -5,12 +5,16 @@ The pipeline: ``advlab train`` of the three bundled benchmark configs at 3
 epochs with lr decays at epochs 1 and 2 and ``--seed 1``; ``eval`` and the
 train and test heatmaps of each ``best.ckpt`` and ``last.ckpt``; a 4-point
 ``sweep`` (eta 0, 0.1, 0.5, 2) from the ``at`` run's ``best.ckpt``; a
-``train`` of the ``at`` config with an FGSM ``[train.attack]``; and
-``gradcheck`` of the ``at`` config. Each command runs in its own child
-process, from one fixed relative work directory, with ``OPENBLAS_CORETYPE``
-set to the manifest's kernel and the CPU set by ``os.sched_setaffinity`` on
-the child. The sha256 of every file the commands write, and of their printed
-lines, must equal the manifest's.
+``train`` of the ``at`` config with an FGSM ``[train.attack]``;
+``gradcheck`` of the ``at`` config; and a ``train`` of the ``at`` config
+whose ``[train.eval_attack]`` and ``[eval.pgd20]`` start at random, then
+``eval`` and the train and test heatmaps of its ``last.ckpt``. Each command
+runs in its own child process, from one fixed relative work directory, with
+``OPENBLAS_CORETYPE`` set to the manifest's kernel and the CPU set by
+``os.sched_setaffinity`` on the child. The sha256 of every file the
+commands write, and of their printed lines, must equal the manifest's. The
+random-start case's printed lines are digested apart from the others',
+under ``RANDOM_START/STDOUT``, so the others' digest is unchanged by it.
 
 The bytes are a contract per numpy build and OpenBLAS kernel. Where the
 numpy version or the kernel OpenBLAS reports differs from the manifest's,
@@ -41,6 +45,7 @@ METHODS = ("at", "edac", "edac_reg")
 EPOCHS, DECAYS, SEED = 3, "1,2", 1
 SWEEP_ETAS = "0,0.1,0.5,2"
 STDOUT = "stdout.txt"  # the printed lines of every command, in order
+RANDOM_START = "at_random_start"
 EXIT_PASS, EXIT_FAIL, EXIT_SKIP = 0, 1, 3
 
 
@@ -82,15 +87,20 @@ def skip_reason(manifest) -> str | None:
     return None
 
 
-def write_config(method, name, path: Path, fgsm=False):
+def write_config(method, name, path: Path, fgsm=False, random_start=False):
     """``configs/benchmark_<method>.ini`` at the pipeline's epochs and decays,
-    writing under ``out/<name>``; with ``fgsm``, trained against FGSM."""
+    writing under ``out/<name>``; with ``fgsm``, trained against FGSM; with
+    ``random_start``, ``[train.eval_attack]`` and ``[eval.pgd20]`` start at
+    random."""
     text = (ROOT / "configs" / f"benchmark_{method}.ini").read_text(encoding="utf-8")
     edits = [(rf"(?m)^({key}\s*=).*$", rf"\g<1> {value}")
              for key, value in (("epochs", EPOCHS), ("lr_decay_epochs", DECAYS),
                                 ("dir", f"out/{name}"))]
     if fgsm:
         edits.append((r"(?m)^(\[train\.attack\])$", r"\g<1>\nkind = fgsm"))
+    if random_start:
+        edits += [(r"(?ms)^(\[train\.eval_attack\]$.*?^random_start\s*=).*?$", r"\g<1> true"),
+                  (r"(?m)^(\[eval\.pgd20\])$", r"\g<1>\nrandom_start = true")]
     for pattern, replacement in edits:
         text, n = re.subn(pattern, replacement, text)
         if n != 1:
@@ -98,21 +108,31 @@ def write_config(method, name, path: Path, fgsm=False):
     path.write_text(text, encoding="utf-8")
 
 
+def evaluations(name, checkpoints):
+    """The ``eval`` and train and test ``heatmap`` argument lists of each
+    named checkpoint of the run ``name``."""
+    cfg = ["--config", f"configs/{name}.ini"]
+    for ck in checkpoints:
+        at = ["--checkpoint", f"out/{name}/{ck}.ckpt"]
+        yield ["eval", *cfg, *at, "--out", f"out/{name}/eval_{ck}"]
+        for split in ("train", "test"):
+            yield ["heatmap", *cfg, *at, "--split", split, "--out", f"out/{name}/heatmap_{ck}"]
+
+
 def commands():
-    """The pipeline's argument lists, in order; paths are relative to the
-    work directory."""
+    """(the digest name of its printed lines, argument list) of each of the
+    pipeline's commands, in order; paths are relative to the work
+    directory."""
     for m in METHODS:
-        cfg = ["--config", f"configs/{m}.ini"]
-        yield ["train", *cfg, "--seed", str(SEED)]
-        for ck in ("best", "last"):
-            at = ["--checkpoint", f"out/{m}/{ck}.ckpt"]
-            yield ["eval", *cfg, *at, "--out", f"out/{m}/eval_{ck}"]
-            for split in ("train", "test"):
-                yield ["heatmap", *cfg, *at, "--split", split, "--out", f"out/{m}/heatmap_{ck}"]
-    yield ["sweep", "--config", "configs/at.ini", "--checkpoint", "out/at/best.ckpt",
-           "--etas", SWEEP_ETAS, "--out", "out/at/sweep"]
-    yield ["train", "--config", "configs/at_fgsm.ini", "--seed", str(SEED)]
-    yield ["gradcheck", "--config", "configs/at.ini"]
+        yield STDOUT, ["train", "--config", f"configs/{m}.ini", "--seed", str(SEED)]
+        yield from ((STDOUT, argv) for argv in evaluations(m, ("best", "last")))
+    yield STDOUT, ["sweep", "--config", "configs/at.ini", "--checkpoint", "out/at/best.ckpt",
+                   "--etas", SWEEP_ETAS, "--out", "out/at/sweep"]
+    yield STDOUT, ["train", "--config", "configs/at_fgsm.ini", "--seed", str(SEED)]
+    yield STDOUT, ["gradcheck", "--config", "configs/at.ini"]
+    printed = f"{RANDOM_START}/{STDOUT}"
+    yield printed, ["train", "--config", f"configs/{RANDOM_START}.ini", "--seed", str(SEED)]
+    yield from ((printed, argv) for argv in evaluations(RANDOM_START, ("last",)))
 
 
 def sha256(data: bytes) -> str:
@@ -122,25 +142,27 @@ def sha256(data: bytes) -> str:
 def run_pipeline(work: Path, cpus: int, kernel) -> dict:
     """{file under ``work/out``: sha256} of the pipeline run in ``work`` on
     the first ``cpus`` CPUs of this process's affinity mask, with
-    ``STDOUT`` the digest of the commands' printed lines."""
+    the digests of the commands' printed lines under their names
+    (``commands``)."""
     (work / "configs").mkdir(parents=True)
     for m in METHODS:
         write_config(m, m, work / "configs" / f"{m}.ini")
     write_config("at", "at_fgsm", work / "configs" / "at_fgsm.ini", fgsm=True)
+    write_config("at", RANDOM_START, work / "configs" / f"{RANDOM_START}.ini", random_start=True)
     mask = set(sorted(os.sched_getaffinity(0))[:cpus])
-    printed = []
-    for argv in commands():
+    printed = {}
+    for name, argv in commands():
         done = subprocess.run([sys.executable, "-m", "advlab", *argv], cwd=work,
                               env=child_env(kernel), capture_output=True,
                               preexec_fn=lambda: os.sched_setaffinity(0, mask), check=False)
         if done.returncode != 0:
             raise RuntimeError(f"advlab {' '.join(argv)} exited {done.returncode}: "
                                f"{done.stderr.decode(errors='replace')}")
-        printed.append(done.stdout)
+        printed.setdefault(name, []).append(done.stdout)
     out = work / "out"
     digests = {p.relative_to(out).as_posix(): sha256(p.read_bytes())
                for p in sorted(out.rglob("*")) if p.is_file()}
-    digests[STDOUT] = sha256(b"".join(printed))
+    digests.update((name, sha256(b"".join(lines))) for name, lines in printed.items())
     return digests
 
 

@@ -109,7 +109,7 @@ def _summary(config: ExperimentConfig, history, best: Checkpoint, last: Checkpoi
     for name, atk in sorted(config.eval_attacks.items()):
         accs = []
         for i, ckpt in enumerate(ckpts):
-            ckpts[i], confusion, _ = checkpoint_pass(ckpt, 1, test_set, atk)
+            ckpts[i], confusion, _ = checkpoint_pass(ckpt, "test", test_set, atk)
             accs.append(confusion_accuracy(confusion))
         per_attack[name] = {"best_robust_acc": accs[0], "last_robust_acc": accs[-1]}
     best, last = ckpts[0], ckpts[-1]
@@ -146,11 +146,11 @@ def _make_out_dir(config: ExperimentConfig) -> Path:
 
 def cmd_train(args) -> int:
     config = load_config(args.config).with_overrides(seed=args.seed, out_dir=args.out)
+    data = config.build_datasets()
+    spec = config.model_spec(data[0])
     out_dir = _make_out_dir(config)
-    train_set, test_set = config.build_datasets()
-    spec = config.model_spec(train_set)
     try:
-        last, best, history = train_run(config.train, (train_set, test_set), spec)
+        last, best, history = train_run(config.train, data, spec)
     except TrainingAborted as exc:
         if exc.checkpoint is not None:
             save_checkpoint(exc.checkpoint, out_dir / "aborted.ckpt")
@@ -164,7 +164,8 @@ def cmd_train(args) -> int:
     if "json" in config.formats:
         write_history_json(out_dir / "history.json", history)
     try:
-        summary, best, last = _summary(config, history, best, last, test_set)
+        summary, best, last = _summary(config, history, best, last,
+                                       data[SPLITS.index("test")])
     finally:
         # with the passes of summary.json recorded, or as trained if one failed
         save_checkpoint(best, out_dir / "best.ckpt")
@@ -220,13 +221,13 @@ def cmd_eval(args) -> int:
     report = {
         "checkpoint": str(args.checkpoint),
         "epoch": ckpt.epoch,
-        "clean_acc_test": (ckpt.metrics_row.clean_acc_test if record_fits(ckpt, 1, test_set)
+        "clean_acc_test": (ckpt.metrics_row.clean_acc_test if record_fits(ckpt, "test", test_set)
                            else clean_accuracy(ckpt.model, test_set)),
         "attacks": {},
     }
     print(f"checkpoint epoch {ckpt.epoch}: clean accuracy {report['clean_acc_test']:.4f}")
     for name, atk in sorted(attacks.items()):
-        _, confusion, ac = _checkpoint_pass(args.checkpoint, ckpt, 1, test_set, atk)
+        _, confusion, ac = _checkpoint_pass(args.checkpoint, ckpt, "test", test_set, atk)
         racc = confusion_accuracy(confusion)
         report["attacks"][name] = {"robust_acc": racc, "ac": ac}
         print(f"  {name}: robust accuracy {racc:.4f}, certainty {ac:.4f}")
@@ -244,7 +245,7 @@ def cmd_heatmap(args) -> int:
     (dataset,) = config.build_datasets((args.split,))
     ckpt = _load_checkpoint_for(config, args.checkpoint, dataset)
     out_dir = _make_out_dir(config)
-    _, confusion, _ = _checkpoint_pass(args.checkpoint, ckpt, SPLITS.index(args.split), dataset,
+    _, confusion, _ = _checkpoint_pass(args.checkpoint, ckpt, args.split, dataset,
                                        config.train.eval_attack)
     hm = heatmap_from_confusion(confusion)
     variances = label_level_variance(hm)
@@ -267,13 +268,13 @@ def _parse_etas(raw) -> list:
 def cmd_sweep(args) -> int:
     config = load_config(args.config).with_overrides(out_dir=args.out)
     etas = _parse_etas(args.etas)
-    train_set, test_set = config.build_datasets()
-    ckpt = _load_checkpoint_for(config, args.checkpoint, train_set)
+    data = config.build_datasets()
+    ckpt = _load_checkpoint_for(config, args.checkpoint, data[0])
     # continue with the checkpoint's own training seed, so eta = 0 reproduces
     # the run that wrote it
     train_cfg = replace(config.train, seed=ckpt.base_seed)
     out_dir = _make_out_dir(config)
-    rows = stepsize_sweep(ckpt, (train_set, test_set), etas, train_cfg)
+    rows = stepsize_sweep(ckpt, data, etas, train_cfg)
     write_sweep_csv(out_dir / "sweep.csv", rows)
     for r in rows:
         status = "ok" if r.ok else "failed"

@@ -248,6 +248,11 @@ def parse_config(text, source="<config>") -> ExperimentConfig:
             train_fraction=ds.get_float("train_fraction", 0.8),
             shuffle_seed=ds.get_int("shuffle_seed", 0),
         )
+        fraction, edge = dataset.keywords["train_fraction"], dataset.keywords["downsample_to"]
+        if not 0.0 < fraction < 1.0:
+            ds._fail("train_fraction", f"must be in (0,1), got {fraction}")
+        if edge is not None and edge < 1:
+            ds._fail("downsample_to", f"must be at least 1, got {edge}")
     for key in ("seed", "shuffle_seed"):
         if (dataset.keywords.get(key) or 0) < 0:
             ds._fail(key, f"must be non-negative, got {dataset.keywords[key]}")

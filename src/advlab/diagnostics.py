@@ -13,23 +13,22 @@ import numpy as np
 
 from .attack import AttackConfig, draw_start, generate_batch
 from .autodiff import row_std_value
-from .data import Dataset, slices
+from .data import SPLITS, Dataset, slices
 from .errors import CheckpointError, ConfigError, NumericError, ShapeError, TrainingAborted
 from .netcore import ModelState, forward_logits, predict_label
 
 log = logging.getLogger(__name__)
 
-CSV_COLUMNS = (
-    "epoch", "method", "lr",
-    "clean_acc_train", "clean_acc_test",
-    "robust_acc_train", "robust_acc_test",
-    "ac_train", "ac_test",
-)
+# the figures measured on each split, in the order ``split_metrics`` gives them
+FIGURES = ("clean_acc", "robust_acc", "ac")
+CSV_COLUMNS = ("epoch", "method", "lr",
+               *(f"{figure}_{split}" for figure in FIGURES for split in SPLITS))
 
 
 @dataclass(frozen=True)
 class MetricsRecord:
-    """One epoch's measurements.
+    """One epoch's measurements: each of ``FIGURES`` on each split of
+    ``SPLITS``, in fields named ``<figure>_<split>``.
 
     ``wall_time_s`` (the update phase's seconds) and ``capped_batches`` (how
     many of the epoch's batches had their certainty half step cut by the
@@ -51,15 +50,13 @@ class MetricsRecord:
     capped_batches: int = 0
 
     def __post_init__(self):
-        for field in ("clean_acc_train", "clean_acc_test", "robust_acc_train",
-                      "robust_acc_test"):
+        for field in CSV_COLUMNS[3:]:
             v = getattr(self, field)
-            if not 0.0 <= v <= 1.0:
+            if field.startswith("ac_"):
+                if not 0.0 <= v < float("inf"):
+                    raise NumericError(f"{field}={v} must be finite and non-negative")
+            elif not 0.0 <= v <= 1.0:
                 raise NumericError(f"{field}={v} outside [0, 1]")
-        for field in ("ac_train", "ac_test"):
-            v = getattr(self, field)
-            if not 0.0 <= v < float("inf"):
-                raise NumericError(f"{field}={v} must be finite and non-negative")
 
     def to_dict(self):
         d = {name: getattr(self, name) for name in CSV_COLUMNS}

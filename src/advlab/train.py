@@ -41,6 +41,7 @@ import numpy as np
 from .attack import AttackConfig, generate_batch
 from .data import SPLITS, Batch, Dataset, batches
 from .diagnostics import (
+    FIGURES,
     MetricsRecord,
     attacked_stats,
     confusion_accuracy,
@@ -155,12 +156,12 @@ class Measured:
     """The attack passes made at a checkpoint's weights. ``attack`` is the
     evaluation attack behind its history row, whose pass over each split is
     among ``passes``; the others are the test-split passes of other attacks
-    that ``advlab train`` made for ``summary.json``. ``sha256`` holds the
-    sha256 of each split's data in ``SPLITS`` order (``Dataset.sha256``) and
-    ``params_sha256`` that of the weights (``ParamVector.sha256``)."""
+    that ``advlab train`` made for ``summary.json``. ``sha256`` maps each
+    name in ``SPLITS`` to the sha256 of that split's data (``Dataset.sha256``)
+    and ``params_sha256`` is that of the weights (``ParamVector.sha256``)."""
 
     attack: AttackConfig
-    sha256: tuple
+    sha256: dict
     params_sha256: str
     passes: tuple
 
@@ -191,7 +192,7 @@ def _moves_no_input(attack: AttackConfig) -> bool:
 
 def record_fits(checkpoint: Checkpoint, split, dataset: Dataset) -> bool:
     """Whether the checkpoint's record was made at its weights over
-    ``dataset`` as split ``split`` (an index into ``SPLITS``), so that its
+    ``dataset`` as split ``split`` (a name in ``SPLITS``), so that its
     history row's figures on that split are ``dataset``'s."""
     measured = checkpoint.measured
     return (measured is not None and measured.sha256[split] == dataset.sha256
@@ -200,8 +201,8 @@ def record_fits(checkpoint: Checkpoint, split, dataset: Dataset) -> bool:
 
 def checkpoint_pass(checkpoint: Checkpoint, split, dataset: Dataset, attack: AttackConfig):
     """(checkpoint, confusion counts, mean certainty) of the pass of
-    ``attack`` over ``dataset`` as split ``split`` (an index into ``SPLITS``)
-    at the checkpoint's weights, seeded by ``eval_rng``.
+    ``attack`` over ``dataset`` as split ``split`` (a name in ``SPLITS``) at
+    the checkpoint's weights, seeded by ``eval_rng``.
 
     When the record fits (``record_fits``) and holds a pass of ``attack``
     over that split, the pass is read: made again, it would repeat that one
@@ -212,10 +213,9 @@ def checkpoint_pass(checkpoint: Checkpoint, split, dataset: Dataset, attack: Att
     row's pass, or that does not give the row's clean accuracy when its
     attack moves no input (``_moves_no_input``) raises ``CheckpointError``.
     """
-    name = SPLITS[split]
     measured = checkpoint.measured
     fits = record_fits(checkpoint, split, dataset)
-    found = next((p for p in measured.passes if p.split == name and p.attack == attack),
+    found = next((p for p in measured.passes if p.split == split and p.attack == attack),
                  None) if fits else None
     num_classes = checkpoint.model.spec.num_classes
     if found is None:
@@ -223,21 +223,21 @@ def checkpoint_pass(checkpoint: Checkpoint, split, dataset: Dataset, attack: Att
         _, ac, preds = attacked_stats(checkpoint.model, dataset, attack, rng)
         if fits:
             checkpoint = replace(checkpoint, measured=replace(
-                measured, passes=measured.passes + (Pass(name, attack, preds, ac),)))
+                measured, passes=measured.passes + (Pass(split, attack, preds, ac),)))
         return checkpoint, confusion_counts(dataset.labels, preds, num_classes), ac
     if len(found.preds) != len(dataset):
-        raise CheckpointError(f"a recorded {name} pass has {len(found.preds)} predictions "
+        raise CheckpointError(f"a recorded {split} pass has {len(found.preds)} predictions "
                               f"for {len(dataset)} rows")
     confusion = confusion_counts(dataset.labels, found.preds, num_classes)
     accuracy = confusion_accuracy(confusion)
     row = checkpoint.metrics_row
     if attack == measured.attack and (accuracy, found.ac) != (
-            getattr(row, f"robust_acc_{name}"), getattr(row, f"ac_{name}")):
-        raise CheckpointError(f"the recorded {name} pass of the history row's attack does not "
-                              f"give robust_acc_{name} and ac_{name}")
-    if _moves_no_input(attack) and accuracy != getattr(row, f"clean_acc_{name}"):
-        raise CheckpointError(f"a recorded {name} pass that moves no input does not give "
-                              f"clean_acc_{name}")
+            getattr(row, f"robust_acc_{split}"), getattr(row, f"ac_{split}")):
+        raise CheckpointError(f"the recorded {split} pass of the history row's attack does not "
+                              f"give robust_acc_{split} and ac_{split}")
+    if _moves_no_input(attack) and accuracy != getattr(row, f"clean_acc_{split}"):
+        raise CheckpointError(f"a recorded {split} pass that moves no input does not give "
+                              f"clean_acc_{split}")
     return checkpoint, confusion, found.ac
 
 
@@ -407,34 +407,33 @@ def batches_per_epoch(train_set: Dataset, config: TrainConfig) -> int:
 def eval_rng(attack: AttackConfig, base_seed, epoch, split):
     """The rng of an evaluation attack, or None without a random start.
 
-    ``split`` indexes ``SPLITS``. Every evaluation of the weights after epoch
-    ``epoch`` of the run seeded ``base_seed`` draws from here: the per-epoch
-    metrics (the sweep's rows among them), ``summary.json``, ``advlab eval``
-    and ``advlab heatmap``. So one (weights, split, attack) always gets one
-    random start, and its figures repeat across commands.
+    ``split`` is a name in ``SPLITS``, whose index there seeds the draw.
+    Every evaluation of the weights after epoch ``epoch`` of the run seeded
+    ``base_seed`` draws from here: the per-epoch metrics (the sweep's rows
+    among them), ``summary.json``, ``advlab eval`` and ``advlab heatmap``.
+    So one (weights, split, attack) always gets one random start, and its
+    figures repeat across commands.
     """
     if not attack.random_start:
         return None
-    return np.random.default_rng(child_seed(base_seed, epoch, STREAM_EVAL, split))
+    return np.random.default_rng(child_seed(base_seed, epoch, STREAM_EVAL, SPLITS.index(split)))
 
 
-def evaluate_epoch(model: ModelState, train_set: Dataset, test_set: Dataset,
-                   config: TrainConfig, epoch, wall_time_s=0.0, capped_batches=0):
-    """The epoch's history row and its two attack passes (``Pass``), train
-    split first."""
+def evaluate_epoch(model: ModelState, data, config: TrainConfig, epoch, wall_time_s=0.0,
+                   capped_batches=0):
+    """The epoch's history row and its attack passes (``Pass``): one
+    ``split_metrics`` pass over each dataset of ``data``, the splits of
+    ``SPLITS`` in that order."""
     atk = config.eval_attack
-    clean_tr, rob_tr, ac_tr, preds_tr = split_metrics(model, train_set, atk,
-                                                      eval_rng(atk, config.seed, epoch, 0))
-    clean_te, rob_te, ac_te, preds_te = split_metrics(model, test_set, atk,
-                                                      eval_rng(atk, config.seed, epoch, 1))
-    row = MetricsRecord(
-        epoch=epoch, method=config.method, lr=lr_at_epoch(config, epoch),
-        clean_acc_train=clean_tr, clean_acc_test=clean_te,
-        robust_acc_train=rob_tr, robust_acc_test=rob_te,
-        ac_train=ac_tr, ac_test=ac_te, wall_time_s=wall_time_s,
-        capped_batches=capped_batches,
-    )
-    return row, (Pass("train", atk, preds_tr, ac_tr), Pass("test", atk, preds_te, ac_te))
+    figures, passes = {}, []
+    for split, dataset in zip(SPLITS, data):
+        rng = eval_rng(atk, config.seed, epoch, split)
+        *values, preds = split_metrics(model, dataset, atk, rng)
+        figures.update((f"{figure}_{split}", v) for figure, v in zip(FIGURES, values))
+        passes.append(Pass(split, atk, preds, figures[f"ac_{split}"]))
+    row = MetricsRecord(epoch=epoch, method=config.method, lr=lr_at_epoch(config, epoch),
+                        wall_time_s=wall_time_s, capped_batches=capped_batches, **figures)
+    return row, tuple(passes)
 
 
 def log_epoch(row: MetricsRecord, batches, label=""):
@@ -451,10 +450,11 @@ def log_epoch(row: MetricsRecord, batches, label=""):
 def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint] = None):
     """Full training loop; returns (final, best, history).
 
-    ``data`` is a (train, test) dataset pair and ``model`` a ModelSpec (fresh
-    initialisation) or an explicit ModelState. Per epoch the loop shuffles
-    with a seeded permutation, applies the configured per-batch update, then
-    measures both splits under the evaluation attack. With a second CPU that
+    ``data`` holds the datasets of ``SPLITS``, in that order, and ``model``
+    is a ModelSpec (fresh initialisation) or an explicit ModelState. Per
+    epoch the loop shuffles the train split with a seeded permutation,
+    applies the configured per-batch update, then measures every split
+    under the evaluation attack (``evaluate_epoch``). With a second CPU that
     measurement runs in a forked worker beside the next epoch's updates
     (``Workers``); the last epoch's runs in the caller, where its attack
     passes split over the CPUs. The best checkpoint is the earliest one
@@ -468,7 +468,8 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
     ``base_seed`` must equal ``config.seed``, or the two halves would come from
     different runs.
     """
-    train_set, test_set = data
+    datasets = dict(zip(SPLITS, data))
+    train_set = datasets["train"]
     if isinstance(model, ModelSpec):
         model = init_model(model)
     if model.spec.input_dim != train_set.dim or model.spec.num_classes < train_set.num_classes:
@@ -502,7 +503,7 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
         except (AdvlabError, ArithmeticError) as exc:
             raise aborted(epoch, exc) from exc
         history.append(row)
-        measured = Measured(config.eval_attack, (train_set.sha256, test_set.sha256),
+        measured = Measured(config.eval_attack, {n: d.sha256 for n, d in datasets.items()},
                             model.params.sha256(), passes)
         last = Checkpoint(model, epoch, momentum, config.seed, row, measured)
         if best is None or row.robust_acc_test > best.metrics_row.robust_acc_test:
@@ -531,8 +532,7 @@ def train_run(config: TrainConfig, data, model, resume_from: Optional[Checkpoint
                 raise aborted(epoch, exc) from exc
             if pending is not None:
                 collect(*pending)
-            args = (model, train_set, test_set, config, epoch, time.perf_counter() - t0,
-                    capped)
+            args = (model, data, config, epoch, time.perf_counter() - t0, capped)
             if epoch + 1 < config.epochs:
                 pending = (epoch, model, opt.momentum,
                            workers.start(evaluate_epoch, *args).result)
@@ -563,7 +563,7 @@ def _preds_dtype(num_classes) -> np.dtype:
 
 def _measured_record(measured: Measured, num_classes) -> dict:
     return {"attack": _attack_record(measured.attack),
-            "sha256": {name: str(digest) for name, digest in zip(SPLITS, measured.sha256)},
+            "sha256": {name: str(digest) for name, digest in measured.sha256.items()},
             "params_sha256": str(measured.params_sha256),
             "passes": [{"split": p.split, "attack": _attack_record(p.attack),
                         "preds": base64.b64encode(p.preds.astype(_preds_dtype(num_classes))
@@ -594,16 +594,10 @@ def _pass_from(entry, num_classes) -> Pass:
     return Pass(entry["split"], _attack_from(entry["attack"]), preds, ac)
 
 
-def _measured_from(record, num_classes) -> Optional[Measured]:
-    """The ``measured`` header key read back (``_measured_record``), or None
-    for a record in the counts format of earlier versions (keys ``attack``,
-    the splits, and ``params_sha256`` and ``passes`` or not): it is never
-    read."""
-    if (isinstance(record, dict) and {"attack", *SPLITS} <= set(record)
-            <= {"attack", *SPLITS, "params_sha256", "passes"}):
-        return None
+def _measured_from(record, num_classes) -> Measured:
+    """The ``measured`` header key read back (``_measured_record``)."""
     return Measured(_attack_from(record["attack"]),
-                    tuple(record["sha256"][name] for name in SPLITS), record["params_sha256"],
+                    {name: record["sha256"][name] for name in SPLITS}, record["params_sha256"],
                     tuple(_pass_from(entry, num_classes) for entry in record["passes"]))
 
 
@@ -680,9 +674,8 @@ def load_checkpoint(path) -> Checkpoint:
 def _read_checkpoint(f, path) -> Checkpoint:
     """The checkpoint in the open file ``f`` at ``path``. Its header loads
     only if ``_header`` of the checkpoint built from it is the same JSON
-    (``_same``), bar a ``measured`` key in the counts format of earlier
-    versions, which is not read; beside that rule stand the checks of meaning
-    (version, sizes, epoch, finite payload, ``_pass_from``'s)."""
+    (``_same``); beside that rule stand the checks of meaning (version,
+    sizes, epoch, finite payload, ``_pass_from``'s)."""
     size = os.fstat(f.fileno()).st_size
     start = len(CKPT_MAGIC) + 4
     head = f.read(start)
@@ -734,8 +727,6 @@ def _read_checkpoint(f, path) -> Checkpoint:
     if not (params.allfinite() and buf.allfinite()):
         raise CheckpointError(f"{path}: non-finite parameters or momentum")
     checkpoint = Checkpoint(model, epoch, buf, base_seed, metrics, measured)
-    if measured is None:
-        header.pop("measured", None)  # the counts format of earlier versions, unread
     try:
         written = _header(checkpoint)
         if not _same(written, header):

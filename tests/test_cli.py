@@ -495,6 +495,30 @@ class TestTrainCommand:
         cfg.write_text(text)
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: {ip}")
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("train_fraction", "1.5", "must be in (0,1), got 1.5"),
+        ("downsample_to", "0", "must be at least 1, got 0"),
+        ("downsample_to", "3", None),  # whether it divides the edge, only the file tells
+    ])
+    def test_idx_dataset_error_leaves_no_output_directory(self, tmp_path, capsys, key, value,
+                                                          message):
+        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+        ip.write_bytes(b"\x00\x00\x08\x03" + struct.pack(">III", 8, 4, 4) + bytes(8 * 16))
+        lp.write_bytes(b"\x00\x00\x08\x01" + struct.pack(">I", 8) + bytes([0, 1] * 4))
+        text = QUICK.format(out=tmp_path / "run")
+        dataset = text[text.index("[dataset]"):text.index("[model]")]
+        text = text.replace(dataset, f"[dataset]\nkind = idx\nimages = {ip}\nlabels = {lp}\n"
+                                     f"{key} = {value}\n\n")
+        cfg = tmp_path / "idx.ini"
+        cfg.write_text(text)
+        assert main(["train", "--config", str(cfg)]) == 2
+        line = text.splitlines().index(f"{key} = {value}") + 1
+        assert capsys.readouterr().err == (
+            f"config error: {cfg}:{line}: [dataset] {key}: {message}\n" if message
+            else "config error: downsample_to must divide the edge length 4\n")
+        assert not (tmp_path / "run").exists()
 
 
 class TestEvalCommand:
@@ -910,10 +934,11 @@ class TestRecordedEvaluation:
         assert self.fallback(cfg, out / "last.ckpt", out, passes, ["clean", "pgd5"])
 
     @pytest.mark.parametrize("with_passes", [False, True])
-    def test_counts_format_record_is_not_read(self, quick_config, passes, with_passes):
+    def test_counts_format_record_is_refused(self, quick_config, capsys, with_passes):
         # the record as earlier versions wrote it: K x K confusion counts per
         # split, and with or without the weights' digest and the passes made
-        # for summary.json, built here from the predictions
+        # for summary.json, built here from the predictions; writing the
+        # checkpoint back does not give it, so it does not load
         cfg, out = quick_config()
         assert main(["train", "--config", str(cfg)]) == 0
         datasets = load_config(cfg).build_datasets()
@@ -940,13 +965,14 @@ class TestRecordedEvaluation:
 
         ckpt = out / "last.ckpt"
         rewrite_checkpoint(ckpt, ckpt, edit_header=counts_format)
-        assert load_checkpoint(ckpt).measured is None
-        sweep = ["sweep", "--config", str(cfg), "--checkpoint", str(ckpt), "--etas", "0,0.05"]
-        assert main(sweep + ["--out", str(out / "sweep_counts")]) == 0
-        assert self.fallback(cfg, ckpt, out, passes, ["clean", "pgd5"])
-        assert main(sweep + ["--out", str(out / "sweep_stripped")]) == 0
-        assert ((out / "sweep_counts" / "sweep.csv").read_bytes()
-                == (out / "sweep_stripped" / "sweep.csv").read_bytes())
+        common = ["--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out / "refused")]
+        capsys.readouterr()
+        for command in (["eval", *common], ["heatmap", *common, "--split", "test"],
+                        ["sweep", *common, "--etas", "0,0.05"]):
+            assert main(command) == 4
+            assert capsys.readouterr().err.startswith(
+                f"checkpoint error: {ckpt}: malformed header fields: ")
+        assert not (out / "refused").exists()
 
     def test_false_clean_pass_is_refused(self, quick_config, tmp_path):
         # [eval.clean] moves no input, so its accuracy must be the row's
@@ -997,14 +1023,14 @@ class TestRecordedEvaluation:
         ckpt = load_checkpoint(out / "last.ckpt")
         clean = config.eval_attacks["clean"]
         passes.clear()
-        read, confusion, ac = train_mod.checkpoint_pass(ckpt, 1, test_set, clean)
+        read, confusion, ac = train_mod.checkpoint_pass(ckpt, "test", test_set, clean)
         assert read is ckpt and passes == []
         recorded = ckpt.measured.passes[CLEAN]
         assert (recorded.split, recorded.attack) == ("test", clean)
         assert (confusion.tolist(), ac) == (
             confusion_counts(test_set.labels, recorded.preds, 3).tolist(), recorded.ac)
         # the train split's pass of [eval.clean] is made, and recorded
-        made, _, _ = train_mod.checkpoint_pass(ckpt, 0, train_set, clean)
+        made, _, _ = train_mod.checkpoint_pass(ckpt, "train", train_set, clean)
         assert passes == [("attacked_stats", clean)]
         assert [(p.split, p.attack) for p in made.measured.passes] == [
             (p.split, p.attack) for p in ckpt.measured.passes] + [("train", clean)]

@@ -1,6 +1,10 @@
+import dataclasses
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +12,9 @@ import pytest
 from advlab import diagnostics
 from advlab.attack import AttackConfig, generate_batch
 from advlab.autodiff import row_std_value
-from advlab.data import Dataset, default_benchmark, make_gaussian_mixture, slices
+from advlab.data import SPLITS, Dataset, default_benchmark, make_gaussian_mixture, slices
 from advlab.diagnostics import (
+    CSV_COLUMNS,
     Heatmap,
     MetricsRecord,
     attacked_stats,
@@ -69,6 +74,29 @@ class TestMetricsRecord:
         r2 = MetricsRecord.from_dict(d)
         assert r2.robust_acc_test == r.robust_acc_test
         assert r2.wall_time_s == 0.0
+
+    def test_columns_are_each_figure_on_each_split_and_each_a_field(self):
+        assert CSV_COLUMNS[:3] == ("epoch", "method", "lr")
+        assert CSV_COLUMNS[3:] == tuple(f"{figure}_{split}"
+                                        for figure in ("clean_acc", "robust_acc", "ac")
+                                        for split in SPLITS)
+        assert set(CSV_COLUMNS) <= {f.name for f in dataclasses.fields(MetricsRecord)}
+
+    def test_a_split_without_its_fields_fails_loudly(self):
+        # a split added to SPLITS adds its columns, and a record without
+        # their fields cannot be made
+        code = ("import advlab.data\n"
+                "advlab.data.SPLITS = ('train', 'val', 'test')\n"
+                "from advlab.diagnostics import MetricsRecord\n"
+                "MetricsRecord(epoch=0, method='at', lr=0.1, clean_acc_train=1.0,\n"
+                "              clean_acc_test=1.0, robust_acc_train=1.0, robust_acc_test=1.0,\n"
+                "              ac_train=0.0, ac_test=0.0)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=False)
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1].startswith(
+            "AttributeError: 'MetricsRecord' object has no attribute 'clean_acc_val'")
 
 
 class TestRobustAccuracy:

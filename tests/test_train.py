@@ -12,11 +12,12 @@ import pytest
 import advlab
 from advlab.attack import AttackConfig
 from advlab.autodiff import ce_rows_grad
-from advlab.data import Batch, make_gaussian_mixture
+from advlab.data import SPLITS, Batch, make_gaussian_mixture
 from advlab.errors import CheckpointError, ConfigError, NumericError, TrainingAborted
 from advlab.netcore import DiffModel, ModelSpec, ModelState, ParamVector, backward, init_model
 from advlab.objective import ObjectiveKind, certainty_value, grad_certainty_frozen
 from advlab.train import (
+    STREAM_EVAL,
     Checkpoint,
     OptState,
     StepReport,
@@ -24,9 +25,12 @@ from advlab.train import (
     apply_update,
     at_update,
     certainty_descent_probe,
+    child_seed,
     edac_reg_update,
     edac_update,
     epoch_batches,
+    eval_rng,
+    evaluate_epoch,
     load_checkpoint,
     lr_at_epoch,
     save_checkpoint,
@@ -442,6 +446,24 @@ class TestTrainRun:
         r1 = train_run(cfg, (train, test), spec)
         r2 = train_run(cfg, (train, test), spec)
         assert r1[0].model.params.equals(r2[0].model.params)
+
+    @pytest.mark.parametrize("split,index", [("train", 0), ("test", 1)])
+    def test_eval_rng_is_seeded_by_the_split_index(self, split, index):
+        atk = AttackConfig(norm="linf", epsilon=0.2, step_size=0.05, steps=3,
+                           random_start=True)
+        want = np.random.default_rng(child_seed(7, 3, STREAM_EVAL, index)).random(4)
+        assert eval_rng(atk, 7, 3, split).random(4).tolist() == want.tolist()
+        assert SPLITS[index] == split
+
+    def test_evaluate_epoch_measures_each_split_in_order(self):
+        data = tiny_data()
+        row, passes = evaluate_epoch(init_model(ModelSpec(4, (8, 3), "relu", 0)), data,
+                                     tiny_config(), 0)
+        assert [p.split for p in passes] == list(SPLITS)
+        for p, dataset in zip(passes, data):
+            assert len(p.preds) == len(dataset)
+            assert p.ac == getattr(row, f"ac_{p.split}")
+            assert getattr(row, f"robust_acc_{p.split}") == np.mean(p.preds == dataset.labels)
 
 
 class TestCheckpointIO:

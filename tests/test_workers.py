@@ -219,10 +219,10 @@ class TestTrainRun:
                                                      next_epoch_fails):
         evaluate, update = train_mod.evaluate_epoch, train_mod.apply_update
 
-        def failing_evaluate(model, train_set, test_set, cfg, epoch, *timing):
+        def failing_evaluate(model, data, cfg, epoch, *timing):
             if epoch == 1:
                 raise NumericError("evaluation blew up")
-            return evaluate(model, train_set, test_set, cfg, epoch, *timing)
+            return evaluate(model, data, cfg, epoch, *timing)
 
         def failing_update(model, batch, cfg, opt_state):
             if next_epoch_fails and opt_state.epoch == 2:
@@ -317,10 +317,10 @@ class TestSweep:
         ckpt = self.checkpoint()
         evaluate = train_mod.evaluate_epoch
 
-        def failing(model, train_set, test_set, cfg, *rest):
+        def failing(model, data, cfg, *rest):
             if cfg.edac_eta == 0.05:
                 raise NumericError("certainty blew up")
-            return evaluate(model, train_set, test_set, cfg, *rest)
+            return evaluate(model, data, cfg, *rest)
 
         monkeypatch.setattr(train_mod, "evaluate_epoch", failing)
         worker_count(n)

@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,7 +24,6 @@ from .diagnostics import (
     heatmap_from_confusion,
     label_level_variance,
     overfitting_gap,
-    stepsize_sweep,
 )
 # bench/tracing.py patches these
 from .diagnostics import compute_heatmap, dataset_certainty, robust_accuracy  # noqa: F401
@@ -42,6 +42,7 @@ from .train import (
     load_checkpoint,
     record_fits,
     save_checkpoint,
+    stepsize_sweep,
     train_run,
 )
 
@@ -61,17 +62,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@contextmanager
+def _writing(path):
+    """An OSError writing the artifact at ``path``: a config error naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_lines(path, lines) -> None:
+    with _writing(path):
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_history_csv(path, history) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for row in history:
         d = row.to_dict()
         lines.append(",".join(_fmt(d[c]) for c in CSV_COLUMNS))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def write_history_json(path, history) -> None:
     rows = [row.to_dict() for row in history]
-    Path(path).write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_lines(path, [json.dumps(rows, indent=2, sort_keys=True)])
 
 
 def write_heatmap_csv(path, heatmap) -> None:
@@ -79,13 +94,13 @@ def write_heatmap_csv(path, heatmap) -> None:
     lines = [",".join(names)]
     for row in heatmap.matrix:
         lines.append(",".join(_fmt(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def write_variance_csv(path, variances) -> None:
     names = [f"class_{k}" for k in range(len(variances))]
     lines = [",".join(names), ",".join(_fmt(float(v)) for v in variances)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def write_sweep_csv(path, rows) -> None:
@@ -94,7 +109,7 @@ def write_sweep_csv(path, rows) -> None:
         lines.append(
             f"{_fmt(r.eta)},{_fmt(r.ac_train)},{_fmt(r.robust_acc_test)},{str(r.ok).lower()}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, lines)
 
 
 def _summary(config: ExperimentConfig, history, best: Checkpoint, last: Checkpoint,
@@ -153,26 +168,26 @@ def cmd_train(args) -> int:
         last, best, history = train_run(config.train, data, spec)
     except TrainingAborted as exc:
         if exc.checkpoint is not None:
-            save_checkpoint(exc.checkpoint, out_dir / "aborted.ckpt")
+            with _writing(out_dir / "aborted.ckpt"):
+                save_checkpoint(exc.checkpoint, out_dir / "aborted.ckpt")
         # a config or data error keeps its own exit code and message
         if isinstance(exc.__cause__, (ConfigError, DataFormatError, ShapeError)):
             raise exc.__cause__
         epoch = exc.checkpoint.epoch if exc.checkpoint else "none completed"
         print(f"numeric failure: {exc} (last completed epoch: {epoch})", file=sys.stderr)
         return EXIT_NUMERIC
-    write_history_csv(out_dir / "history.csv", history)
-    if "json" in config.formats:
-        write_history_json(out_dir / "history.json", history)
     try:
+        write_history_csv(out_dir / "history.csv", history)
+        if "json" in config.formats:
+            write_history_json(out_dir / "history.json", history)
         summary, best, last = _summary(config, history, best, last,
                                        data[SPLITS.index("test")])
     finally:
-        # with the passes of summary.json recorded, or as trained if one failed
-        save_checkpoint(best, out_dir / "best.ckpt")
-        save_checkpoint(last, out_dir / "last.ckpt")
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        # with the passes of summary.json recorded, or as trained if a step failed
+        for name, checkpoint in (("best.ckpt", best), ("last.ckpt", last)):
+            with _writing(out_dir / name):
+                save_checkpoint(checkpoint, out_dir / name)
+    _write_lines(out_dir / "summary.json", [json.dumps(summary, indent=2, sort_keys=True)])
     print(
         f"trained method={summary['method']} seed={summary['seed']}: "
         f"best robust {summary['best_robust_acc_test']:.4f} (epoch {summary['best_epoch']}), "
@@ -231,9 +246,7 @@ def cmd_eval(args) -> int:
         racc = confusion_accuracy(confusion)
         report["attacks"][name] = {"robust_acc": racc, "ac": ac}
         print(f"  {name}: robust accuracy {racc:.4f}, certainty {ac:.4f}")
-    (out_dir / "eval.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_lines(out_dir / "eval.json", [json.dumps(report, indent=2, sort_keys=True)])
     return EXIT_OK
 
 

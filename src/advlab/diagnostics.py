@@ -1,23 +1,18 @@
 """Measurement instruments: accuracy under attack, predicted-label heatmaps,
-label-level variance, overfitting and certainty gaps, and the extragradient
-step-size sweep."""
+label-level variance, and overfitting and certainty gaps."""
 
 from __future__ import annotations
 
 import copy
-import logging
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .attack import AttackConfig, draw_start, generate_batch
 from .autodiff import row_std_value
 from .data import SPLITS, Dataset, slices
-from .errors import CheckpointError, ConfigError, NumericError, ShapeError, TrainingAborted
+from .errors import CheckpointError, NumericError, ShapeError
 from .netcore import ModelState, forward_logits, predict_label
-
-log = logging.getLogger(__name__)
 
 # the figures measured on each split, in the order ``split_metrics`` gives them
 FIGURES = ("clean_acc", "robust_acc", "ac")
@@ -257,111 +252,3 @@ def certainty_gap(best, last, dataset: Dataset, attack_config: AttackConfig,
     ac_best = dataset_certainty(best.model, dataset, attack_config, copy.deepcopy(rng))
     ac_last = dataset_certainty(last.model, dataset, attack_config, rng)
     return ac_last - ac_best
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One sweep result. ``same_as`` is the step size of the earlier row
-    whose result this row reuses, or None when the row was computed."""
-
-    eta: float
-    ac_train: float
-    robust_acc_test: float
-    ok: bool = True
-    same_as: Optional[float] = None
-
-
-def stepsize_sweep(checkpoint, data, etas, config) -> list:
-    """Continue one extragradient epoch from a checkpoint for each step size.
-
-    Every row is ``train_run`` resumed from the checkpoint for one epoch with
-    the given certainty step size; it records that epoch's history-row
-    training-split certainty and held-out robust accuracy. Rows whose
-    training blows up are kept with NaNs and ``ok=False``. Rows come back in
-    request order.
-
-    A row is reused instead of trained when an earlier computed row proves
-    its result. On each batch the half step is ``min(eta * f, cap_b)``, with
-    ``f`` the epoch's decay factor and ``cap_b`` the Polyak step of that
-    batch at the current weights. If row r ran to the end with the cap
-    cutting every half step (``eta_r * f > cap_b`` on every batch), then
-    any later row with ``eta >= eta_r`` also has ``eta * f > cap_b`` on the
-    first batch, so it takes the same step from the same weights; by
-    induction over the batches its weights, and so its metrics, are equal
-    to row r's bit for bit. Such a row copies row r's numbers under its own
-    eta and skips the continuation epoch and its evaluation. The eta = 0
-    row, failed rows and rows with any uncut batch (including a zero
-    certainty gradient) are never reused.
-
-    Rows run in forked workers, as many at a time as ``Workers.count``, in
-    request order. A row started before an earlier row came back capped is
-    dropped and copied once that row covers it, so the rows and their
-    ``same_as`` labels are the ones the rule above gives in sequence. Each
-    computed row logs its epoch line here, in request order.
-    """
-    # imported here: train imports this module, and Workers is not on the
-    # command-line start-up path
-    from .train import batches_per_epoch, log_epoch
-    from .workers import Workers
-
-    etas = [float(eta) for eta in etas]
-    if not etas:
-        raise ConfigError("etas must not be empty")
-    for eta in etas:
-        if eta < 0:
-            raise ConfigError(f"step sizes must be non-negative, got {eta}")
-    nb = batches_per_epoch(data[0], config)
-    rows = []
-    capped_rows = []  # computed rows whose half step the cap cut on every batch
-    running = {}  # request index -> started row
-    ahead = 0  # the next request index that may be started
-
-    def source(eta):
-        return next((r for r in capped_rows if eta >= r.eta), None)
-
-    with Workers() as workers:
-        for i, eta in enumerate(etas):
-            copied = source(eta)
-            if copied is not None:
-                started = running.pop(i, None)
-                if started is not None:
-                    started.cancel()
-                rows.append(replace(copied, eta=eta, same_as=copied.eta))
-                continue
-            # start this row, then later rows that no capped row covers yet
-            while ahead < len(etas) and len(running) < workers.count:
-                if source(etas[ahead]) is None:
-                    cfg = replace(config, method="edac", edac_eta=etas[ahead],
-                                  epochs=checkpoint.epoch + 2)
-                    running[ahead] = workers.start(_sweep_row, checkpoint, data, cfg)
-                ahead += 1
-            record = running.pop(i).result()
-            if record is None:
-                log.info("sweep eta=%g failed", eta)
-                rows.append(SweepRow(eta, float("nan"), float("nan"), False))
-                continue
-            log_epoch(record, nb, f" eta={eta:g}")
-            rows.append(SweepRow(eta, record.ac_train, record.robust_acc_test))
-            if record.capped_batches == nb:
-                capped_rows.append(rows[-1])
-    return rows
-
-
-def _sweep_row(checkpoint, data, config):
-    """The history row of one computed sweep row's epoch, or None when its
-    training failed numerically. It logs nothing: the sweep logs its rows
-    in request order, so a row started ahead and then dropped adds no line."""
-    # imported here to avoid a circular dependency with train
-    from .train import log as train_log, train_run
-
-    level = train_log.level
-    train_log.setLevel(logging.WARNING)
-    try:
-        _, _, (record,) = train_run(config, data, checkpoint.model, resume_from=checkpoint)
-    except TrainingAborted as exc:
-        if isinstance(exc.__cause__, (NumericError, FloatingPointError, OverflowError)):
-            return None
-        raise exc.__cause__
-    finally:
-        train_log.setLevel(level)
-    return record

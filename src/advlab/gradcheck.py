@@ -84,16 +84,16 @@ def _draw(rng):
 
 
 def _gate(name, cases, seed, error) -> GradCheckResult:
-    """The worst ``error(model, batch, rng)`` over ``cases`` draws clear of
-    kinks. A draw near one, by ``_clear_of_kinks`` or by ``error`` returning
-    None, is replaced; ``MAX_REDRAWS`` in a row end the gate."""
+    """The worst ``error(model, batch, rng)``, NaN if any is, over ``cases``
+    draws clear of kinks. A draw near one, by ``_clear_of_kinks`` or by
+    ``error`` returning None, is replaced; ``MAX_REDRAWS`` in a row end it."""
     rng = np.random.default_rng(seed)
     worst, checked, redraws = 0.0, 0, 0
     while checked < cases:
         model, batch = _draw(rng)
         err = error(model, batch, rng) if _clear_of_kinks(model, batch.inputs) else None
         if err is not None:
-            worst, checked, redraws = max(worst, err), checked + 1, 0
+            worst, checked, redraws = float(np.maximum(worst, err)), checked + 1, 0
             continue
         redraws += 1
         if redraws == MAX_REDRAWS:
@@ -113,8 +113,8 @@ def run_all(cases=100, h=1e-5, attack=None):
     """The full gradient gate: ``cases`` cases each for the CE parameter,
     input and frozen-certainty gradients, ``max(5, cases // 4)`` for TRADES,
     each gate on its own seed."""
-    if not h > 0:
-        raise ConfigError(f"finite-difference step must be positive, got {h}")
+    if not 0 < h < float("inf"):
+        raise ConfigError(f"finite-difference step must be finite and positive, got {h}")
     if cases < 1:
         raise ConfigError(f"the gradient check needs at least 1 case, got {cases}")
     attack = attack or AttackConfig(norm="linf", epsilon=0.05, step_size=0.02, steps=3)

@@ -1092,6 +1092,26 @@ class TestGradcheckCommand:
         assert "gradient check failed for: grad_params, grad_params_trades" in \
             capsys.readouterr().err
 
+    def test_nan_error_fails_its_gate(self):
+        result = gradcheck._gate("probe", 3, 0, lambda model, batch, rng: float("nan"))
+        assert np.isnan(result.max_rel_err)
+        assert not result.ok()
+
+    def test_non_finite_h_exit_2(self, quick_config, capsys):
+        cfg, _ = quick_config()
+        assert main(["gradcheck", "--config", str(cfg), "--h", "inf"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: finite-difference step must be finite and positive, got inf\n")
+
+    def test_overflowing_h_fails_the_certainty_gate(self, quick_config, capsys):
+        # h = 1e300 overflows the finite differences into a NaN error
+        cfg, _ = quick_config()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["gradcheck", "--config", str(cfg), "--cases", "1", "--h", "1e300"]) == 5
+        out = capsys.readouterr().out
+        assert "grad_certainty_frozen: 1 cases, max relative error nan [FAIL]" in out
+        assert "[ok]" not in out
+
     @pytest.mark.parametrize("cases", [8, 100])
     def test_trades_gate_checks_the_cases_it_reports(self, monkeypatch, cases):
         # the TRADES gate is the first to look twice at one model (its draw,
@@ -1215,3 +1235,29 @@ class TestOutputDirectory:
         assert capsys.readouterr().err == (
             f"config error: cannot create output directory {blocker / 'sub'}: Not a directory\n")
         assert ran == []
+
+
+class TestArtifactWrite:
+    @pytest.mark.parametrize("command, artifact", [("train", "history.csv"),
+                                                   ("eval", "eval.json"),
+                                                   ("heatmap", "heatmap_train.csv"),
+                                                   ("sweep", "sweep.csv")])
+    def test_artifact_that_cannot_be_written_exit_2(self, quick_config, capsys, command,
+                                                    artifact):
+        cfg, out = quick_config()
+        argv = [command, "--config", str(cfg)]
+        if command != "train":
+            assert main(["train", "--config", str(cfg)]) == 0
+            argv += ["--checkpoint", str(out / "last.ckpt")]
+        if command == "sweep":
+            argv += ["--etas", "0"]
+        (out / artifact).mkdir(parents=True)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {out / artifact}: Is a directory\n"
+        assert "Traceback" not in err
+        if command == "train":
+            # the run is not lost: its checkpoints are written as trained
+            assert load_checkpoint(out / "best.ckpt").epoch in (0, 1)
+            assert load_checkpoint(out / "last.ckpt").epoch == 1

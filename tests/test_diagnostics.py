@@ -28,13 +28,12 @@ from advlab.diagnostics import (
     overfitting_gap,
     robust_accuracy,
     split_metrics,
-    stepsize_sweep,
 )
 from advlab import workers
 from advlab.errors import CheckpointError, NumericError, ShapeError
 from advlab.netcore import ModelSpec, forward_logits, init_model
 from advlab.objective import ObjectiveKind
-from advlab.train import Checkpoint, TrainConfig, train_run
+from advlab.train import Checkpoint, TrainConfig, stepsize_sweep, train_run
 from conftest import model_from_arrays
 
 

@@ -17,10 +17,10 @@ from advlab import train as train_mod
 from advlab import workers
 from advlab.attack import AttackConfig
 from advlab.data import make_gaussian_mixture
-from advlab.diagnostics import attacked_stats, stepsize_sweep
+from advlab.diagnostics import attacked_stats
 from advlab.errors import NumericError, ShapeError, TrainingAborted
 from advlab.netcore import ModelSpec, init_model
-from advlab.train import TrainConfig, train_run
+from advlab.train import TrainConfig, stepsize_sweep, train_run
 
 pytestmark = pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
                                 reason="reads the process's threads and children from /proc")

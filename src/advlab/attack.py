@@ -43,7 +43,7 @@ class AttackConfig:
         if self.norm not in NORMS:
             raise ConfigError(f"norm must be one of {NORMS}, got {self.norm!r}")
         if self.kind not in KINDS:
-            raise ConfigError(f"attack kind must be one of {KINDS}, got {self.kind!r}")
+            raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.epsilon < 0:
             raise ConfigError(f"epsilon must be non-negative, got {self.epsilon}")
         if self.steps < 0:
@@ -56,6 +56,14 @@ class AttackConfig:
             lo, hi = self.domain_clamp
             if not lo < hi:
                 raise ConfigError(f"domain_clamp must satisfy lo < hi, got {self.domain_clamp}")
+
+    def as_pgd(self) -> "AttackConfig":
+        """The pgd this attack runs: itself, or for fgsm one step of epsilon
+        from no random start (a radius of 0 takes no step)."""
+        if self.kind == "pgd":
+            return self
+        return replace(self, kind="pgd", step_size=self.epsilon,
+                       steps=1 if self.epsilon > 0 else 0, random_start=False)
 
 
 def perturbation_norm(perturbed, originals, norm):
@@ -109,10 +117,11 @@ def _random_in_ball(rng, shape, config: AttackConfig):
 
 
 def draw_start(config: AttackConfig, rng, shape):
-    """The offset a pgd attack on rows of ``shape`` starts from: with
-    ``random_start``, a uniform in-ball offset drawn from ``rng``; otherwise
-    None, and nothing is drawn. An fgsm attack never draws one."""
-    if config.kind != "pgd" or not config.random_start:
+    """The offset an attack on rows of ``shape`` starts from: with
+    ``random_start`` in its ``as_pgd``, a uniform in-ball offset drawn from
+    ``rng``; otherwise None, and nothing is drawn. An fgsm attack never draws
+    one."""
+    if not config.as_pgd().random_start:
         return None
     if rng is None:
         raise ConfigError("random_start requires an rng or integer seed")
@@ -121,15 +130,17 @@ def draw_start(config: AttackConfig, rng, shape):
 
 
 def pgd(model: ModelState, x, y, config: AttackConfig, rng=None, start=None):
-    """Iterated signed-gradient ascent on the cross-entropy, ball-projected.
+    """Iterated signed-gradient ascent on the cross-entropy, ball-projected,
+    as ``config.as_pgd()`` sets it: an fgsm config is one linf step of
+    epsilon from ``delta = 0``.
 
     linf steps move by step_size * sign(grad) with sign(0) = 0; l2 steps move
     by step_size along the row-normalised gradient (zero rows stay put). With
     ``random_start`` the iterate begins at a uniform in-ball offset: ``start``
     when given, drawn earlier by ``draw_start``, else one drawn from
-    ``rng``. Returns the final candidate ``clamp(x + delta)``. ``fgsm`` is
-    one linf step of epsilon from ``delta = 0``.
+    ``rng``. Returns the final candidate ``clamp(x + delta)``.
     """
+    config = config.as_pgd()
     rows, single = _as_rows(x, model.spec.input_dim)
     labels = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if labels.shape[0] != rows.shape[0]:
@@ -157,12 +168,10 @@ def pgd(model: ModelState, x, y, config: AttackConfig, rng=None, start=None):
 
 def fgsm(model: ModelState, x, y, config: AttackConfig):
     """One signed-gradient step of size epsilon, then domain clamping: the
-    pgd of one step of epsilon from no random start (a radius of 0 takes no
-    step)."""
+    ``pgd`` of ``config`` as an fgsm attack."""
     if config.norm != "linf":
         raise ConfigError("fgsm is defined for the linf norm only")
-    return pgd(model, x, y, replace(config, kind="pgd", step_size=config.epsilon,
-                                    steps=1 if config.epsilon > 0 else 0, random_start=False))
+    return pgd(model, x, y, replace(config, kind="fgsm"))
 
 
 @dataclass(frozen=True)
@@ -204,8 +213,5 @@ def generate_batch(model: ModelState, batch: Batch, config: AttackConfig,
     given, ``rng`` is not read."""
     if len(batch) == 0:
         raise ShapeError("cannot attack an empty batch")
-    if config.kind == "fgsm":
-        perturbed = fgsm(model, batch.inputs, batch.labels, config)
-    else:
-        perturbed = pgd(model, batch.inputs, batch.labels, config, rng=rng, start=start)
+    perturbed = pgd(model, batch.inputs, batch.labels, config, rng=rng, start=start)
     return AdversarialBatch(batch.inputs, perturbed, batch.labels, config)

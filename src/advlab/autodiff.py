@@ -35,9 +35,11 @@ def log_softmax_rows(z: Array) -> Array:
 
 
 def row_std_value(u: Array) -> Array:
-    """Per-row population standard deviation (the logit-spread functional)."""
-    centered = u - u.mean(axis=-1, keepdims=True)
-    return np.sqrt((centered * centered).mean(axis=-1))
+    """Per-row population standard deviation (the logit-spread functional).
+    A row too wide for float64 gives inf or nan, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = u - u.mean(axis=-1, keepdims=True)
+        return np.sqrt((centered * centered).mean(axis=-1))
 
 
 def ce_rows_value(logits: Array, labels: Array) -> Array:

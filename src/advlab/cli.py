@@ -35,6 +35,7 @@ from .errors import (
     ShapeError,
     TrainingAborted,
 )
+from .netcore import init_model
 from .train import (
     SPLITS,
     Checkpoint,
@@ -162,10 +163,12 @@ def _make_out_dir(config: ExperimentConfig) -> Path:
 def cmd_train(args) -> int:
     config = load_config(args.config).with_overrides(seed=args.seed, out_dir=args.out)
     data = config.build_datasets()
-    spec = config.model_spec(data[0])
+    # a model too large to allocate is refused before the directory is made;
+    # train_run is handed the only reference, so it frees the initial weights
+    model = [init_model(config.model_spec(data[0]))]
     out_dir = _make_out_dir(config)
     try:
-        last, best, history = train_run(config.train, data, spec)
+        last, best, history = train_run(config.train, data, model.pop())
     except TrainingAborted as exc:
         if exc.checkpoint is not None:
             with _writing(out_dir / "aborted.ckpt"):

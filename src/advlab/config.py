@@ -2,6 +2,10 @@
 
 Unknown sections or keys fail fast with their file location; the config file
 is the reproducibility record for a run, so silent typos are not tolerated.
+The keys of ``[train]`` and of each attack section go straight to the type
+that holds them (``TrainConfig``, ``ObjectiveKind``, ``AttackConfig``), which
+alone holds their defaults, choices and range checks; a value one refuses is
+reported at its key's line.
 """
 
 from __future__ import annotations
@@ -12,16 +16,20 @@ from typing import Optional
 
 import numpy as np
 
-from .attack import KINDS, NORMS, AttackConfig
+from .attack import AttackConfig
 from .data import SPLITS, Dataset, default_benchmark, gaussian_mixture_splits, idx_splits
 from .errors import ConfigError
 from .netcore import ACTIVATIONS, ModelSpec
-from .objective import OBJECTIVE_KINDS, ObjectiveKind
-from .train import METHODS, TrainConfig
+from .objective import ObjectiveKind
+from .train import TrainConfig
 
 
 class _Section(dict):
-    """Maps key -> (raw value, line number)."""
+    """Maps key -> (raw value, line number); ``lineno`` is its header's line."""
+
+    def __init__(self, lineno):
+        super().__init__()
+        self.lineno = lineno
 
 
 def parse_sectioned(text, source="<config>"):
@@ -41,7 +49,7 @@ def parse_sectioned(text, source="<config>"):
                 raise ConfigError(f"{source}:{lineno}: empty section name")
             if name in sections:
                 raise ConfigError(f"{source}:{lineno}: duplicate section [{name}]")
-            current = _Section()
+            current = _Section(lineno)
             current_name = name
             sections[name] = current
             continue
@@ -59,103 +67,125 @@ def parse_sectioned(text, source="<config>"):
     return sections
 
 
+def _finite(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _bounds(text):
+    if text.lower() in ("none", "off"):
+        return None
+    lo, hi = (_finite(part) for part in text.split(","))
+    return lo, hi
+
+
+def _formats(text):
+    formats = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not set(formats) <= {"csv", "json"}:
+        raise ValueError(text)
+    return formats
+
+
+def _one_of(choices):
+    def read(text):
+        if text not in choices:
+            raise ValueError(text)
+        return text
+    return read, f"one of {choices}"
+
+
 _BOOLS = {"true": True, "yes": True, "1": True, "on": True,
           "false": False, "no": False, "0": False, "off": False}
 
+# a key's reader of its raw text, and what a text it refuses should have been
+TEXT = (str, "text")
+INTEGER = (int, "an integer")
+NUMBER = (_finite, "a finite number")
+BOOLEAN = (lambda v: _BOOLS[v.lower()], "a boolean")
+INTEGERS = (lambda v: tuple(int(p) for p in v.split(",")) if v else (), "comma-separated integers")
+BOUNDS = (_bounds, "'none' or finite bounds 'lo,hi'")
+FORMATS = (_formats, "comma-separated formats from csv and json")
+
+# the field a key is passed as, where its name differs
+_FIELD = {"classes": "num_classes", "separation": "class_separation", "objective": "kind",
+          "clamp": "domain_clamp"}
+
+# each [dataset] kind: its split builder, its keys' readers, and the values of
+# the keys a config may leave out; a key with none is required
+_DATASETS = {
+    "benchmark": (default_benchmark, {"seed": INTEGER}, {"seed": None}),
+    "gaussian_mixture": (
+        partial(gaussian_mixture_splits, name="mixture"),
+        {"classes": INTEGER, "dim": INTEGER, "train_per_class": INTEGER,
+         "test_per_class": INTEGER, "separation": NUMBER, "noise_std": NUMBER, "seed": INTEGER},
+        {"seed": 0}),
+    "idx": (
+        idx_splits,
+        {"images": TEXT, "labels": TEXT, "downsample_to": INTEGER, "train_fraction": NUMBER,
+         "shuffle_seed": INTEGER},
+        {"downsample_to": None, "train_fraction": 0.8, "shuffle_seed": 0}),
+}
+_OBJECTIVE_KEYS = {"objective": TEXT, "trades_beta": NUMBER}
+_TRAIN_KEYS = {"epochs": INTEGER, "batch_size": INTEGER, "lr": NUMBER, "momentum": NUMBER,
+               "lr_decay_epochs": INTEGERS, "lr_decay_factor": NUMBER, "edac_eta": NUMBER,
+               "edac_reg_lambda": NUMBER, "seed": INTEGER, "method": TEXT, **_OBJECTIVE_KEYS}
+_ATTACK_KEYS = {"norm": TEXT, "epsilon": NUMBER, "step_size": NUMBER, "steps": INTEGER,
+                "kind": TEXT, "random_start": BOOLEAN, "clamp": BOUNDS}
+
 
 class SectionView:
-    """Typed accessors over one parsed section, with used-key tracking."""
+    """One parsed section, read against a table of its keys' readers."""
 
     def __init__(self, name, section: _Section, source):
         self.name = name
         self.section = section
         self.source = source
-        self.used = set()
 
-    def _raw(self, key, default=None, required=False):
-        if key in self.section:
-            self.used.add(key)
-            return self.section[key][0]
-        if required:
-            raise ConfigError(f"{self.source}: [{self.name}] is missing required key {key!r}")
-        return default
+    def _at(self, key):
+        """``PATH:LINE: [name]`` at ``key``'s line, or at the header's line
+        when the section does not hold ``key``."""
+        lineno = self.section[key][1] if key in self.section else self.section.lineno
+        return f"{self.source}:{lineno}: [{self.name}]"
 
     def _fail(self, key, message):
-        lineno = self.section[key][1]
-        raise ConfigError(f"{self.source}:{lineno}: [{self.name}] {key}: {message}")
+        raise ConfigError(f"{self._at(key)} {key}: {message}")
 
-    def get_str(self, key, default=None, required=False, choices=None):
-        v = self._raw(key, default, required)
-        if v is not None and choices is not None and v not in choices:
-            self._fail(key, f"must be one of {choices}, got {v!r}")
-        return v
+    def read(self, readers, required=()) -> dict:
+        """Each key of ``readers`` the section holds, parsed by its reader. A
+        key of ``required`` it lacks, a text a reader refuses, or a key not in
+        ``readers`` is a ``ConfigError`` at its line."""
+        for key in required:
+            if key not in self.section:
+                raise ConfigError(f"{self._at(key)} is missing required key {key!r}")
+        values = {}
+        for key, (parse, expected) in readers.items():
+            if key in self.section:
+                raw = self.section[key][0]
+                try:
+                    values[key] = parse(raw)
+                except (KeyError, ValueError):
+                    self._fail(key, f"expected {expected}, got {raw!r}")
+        for key, (_, lineno) in self.section.items():
+            if key not in readers:
+                raise ConfigError(f"{self.source}:{lineno}: unknown key {key!r} in [{self.name}]")
+        return values
 
-    def _parse(self, key, default, required, parse, expected):
-        """``parse`` of the key's raw text, or ``default`` if it is absent; a
-        ``ConfigError`` "expected ``expected``" where ``parse`` raises
-        ``KeyError`` or ``ValueError``."""
-        v = self._raw(key, None, required)
-        if v is None:
-            return default
+    def build(self, cls, values, **objects):
+        """``cls`` of the parsed ``values``, each passed as its ``_FIELD``, and
+        of ``objects``. A ``ConfigError`` it raises is located at the key its
+        message starts with, or at the section header when that is no key."""
+        fields = {_FIELD.get(key, key): key for key in values}
         try:
-            return parse(v)
-        except (KeyError, ValueError):
-            self._fail(key, f"expected {expected}, got {v!r}")
-
-    def get_int(self, key, default=None, required=False):
-        return self._parse(key, default, required, int, "an integer")
-
-    def get_float(self, key, default=None, required=False):
-        f = self._parse(key, default, required, float, "a number")
-        if f is not None and not np.isfinite(f):
-            self._fail(key, f"expected a finite number, got {self.section[key][0]!r}")
-        return f
-
-    def get_bool(self, key, default=None, required=False):
-        return self._parse(key, default, required, lambda v: _BOOLS[v.lower()], "a boolean")
-
-    def get_int_list(self, key, default=()):
-        return self._parse(key, tuple(default), False,
-                           lambda v: tuple(int(p) for p in v.split(",")) if v else (),
-                           "comma-separated integers")
-
-    def get_clamp(self, key, default=None):
-        v = self._raw(key)
-        if v is None:
-            return default
-        if v.lower() in ("none", "off"):
-            return None
-        parts = v.split(",")
-        if len(parts) != 2:
-            self._fail(key, f"expected 'none' or 'lo,hi', got {v!r}")
-        try:
-            bounds = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            self._fail(key, f"expected numeric bounds, got {v!r}")
-        if not np.isfinite(bounds).all():
-            self._fail(key, f"expected finite bounds, got {v!r}")
-        return bounds
-
-    def reject_unknown(self):
-        unknown = set(self.section) - self.used
-        if unknown:
-            key = min(unknown, key=lambda k: self.section[k][1])
-            lineno = self.section[key][1]
-            raise ConfigError(f"{self.source}:{lineno}: unknown key {key!r} in [{self.name}]")
+            return cls(**{field: values[key] for field, key in fields.items()}, **objects)
+        except ConfigError as exc:
+            first = str(exc).split(" ", 1)[0]
+            raise ConfigError(f"{self._at(fields.get(first, first))} {exc}") from exc
 
 
 def _attack_from(view: SectionView) -> AttackConfig:
-    cfg = AttackConfig(
-        norm=view.get_str("norm", "linf", choices=NORMS),
-        epsilon=view.get_float("epsilon", required=True),
-        step_size=view.get_float("step_size", 1.0),
-        steps=view.get_int("steps", 0),
-        kind=view.get_str("kind", "pgd", choices=KINDS),
-        random_start=view.get_bool("random_start", False),
-        domain_clamp=view.get_clamp("clamp", None),
-    )
-    view.reject_unknown()
-    return cfg
+    return view.build(AttackConfig, view.read(_ATTACK_KEYS, required=("epsilon",)))
 
 
 @dataclass(frozen=True)
@@ -223,72 +253,34 @@ def parse_config(text, source="<config>") -> ExperimentConfig:
             raise ConfigError(f"{source}: unknown section [{name}]")
 
     ds = take("dataset")
-    kind = ds.get_str("kind", required=True,
-                      choices=("benchmark", "gaussian_mixture", "idx"))
-    if kind == "benchmark":
-        dataset = partial(default_benchmark, seed=ds.get_int("seed"))
-    elif kind == "gaussian_mixture":
-        dataset = partial(
-            gaussian_mixture_splits,
-            num_classes=ds.get_int("classes", required=True),
-            dim=ds.get_int("dim", required=True),
-            train_per_class=ds.get_int("train_per_class", required=True),
-            test_per_class=ds.get_int("test_per_class", required=True),
-            class_separation=ds.get_float("separation", required=True),
-            noise_std=ds.get_float("noise_std", required=True),
-            seed=ds.get_int("seed", 0),
-            name="mixture",
-        )
-    else:
-        dataset = partial(
-            idx_splits,
-            images=ds.get_str("images", required=True),
-            labels=ds.get_str("labels", required=True),
-            downsample_to=ds.get_int("downsample_to"),
-            train_fraction=ds.get_float("train_fraction", 0.8),
-            shuffle_seed=ds.get_int("shuffle_seed", 0),
-        )
-        fraction, edge = dataset.keywords["train_fraction"], dataset.keywords["downsample_to"]
-        if not 0.0 < fraction < 1.0:
-            ds._fail("train_fraction", f"must be in (0,1), got {fraction}")
-        if edge is not None and edge < 1:
-            ds._fail("downsample_to", f"must be at least 1, got {edge}")
+    kind = ds.section.get("kind", ("",))[0]  # it decides which keys the section holds
+    builder, readers, optional = _DATASETS.get(kind, (None, {}, {}))
+    values = ds.read({"kind": _one_of(tuple(_DATASETS)), **readers},
+                     required=("kind", *(key for key in readers if key not in optional)))
+    del values["kind"]
+    keywords = {_FIELD.get(key, key): value for key, value in {**optional, **values}.items()}
+    dataset = partial(builder, **keywords)
+    if kind == "idx":
+        if not 0.0 < keywords["train_fraction"] < 1.0:
+            ds._fail("train_fraction", f"must be in (0,1), got {keywords['train_fraction']}")
+        if keywords["downsample_to"] is not None and keywords["downsample_to"] < 1:
+            ds._fail("downsample_to", f"must be at least 1, got {keywords['downsample_to']}")
     for key in ("seed", "shuffle_seed"):
-        if (dataset.keywords.get(key) or 0) < 0:
-            ds._fail(key, f"must be non-negative, got {dataset.keywords[key]}")
-    ds.reject_unknown()
+        if (keywords.get(key) or 0) < 0:
+            ds._fail(key, f"must be non-negative, got {keywords[key]}")
 
-    model = take("model")
-    hidden = model.get_int_list("hidden", (64, 64))
-    activation = model.get_str("activation", "relu", choices=ACTIVATIONS)
-    init_seed = model.get_int("init_seed", 0)
-    model.reject_unknown()
+    model = take("model").read(
+        {"hidden": INTEGERS, "activation": _one_of(ACTIVATIONS), "init_seed": INTEGER})
 
     train_attack = _attack_from(take("train.attack"))
     eval_attack_view = take("train.eval_attack", required=False)
     eval_attack = _attack_from(eval_attack_view) if eval_attack_view else train_attack
 
     tr = take("train")
-    objective = ObjectiveKind(
-        kind=tr.get_str("objective", "at_ce", choices=OBJECTIVE_KINDS),
-        trades_beta=tr.get_float("trades_beta", 6.0),
-    )
-    train_cfg = TrainConfig(
-        epochs=tr.get_int("epochs", required=True),
-        batch_size=tr.get_int("batch_size", 128),
-        lr=tr.get_float("lr", 0.1),
-        momentum=tr.get_float("momentum", 0.9),
-        lr_decay_epochs=tr.get_int_list("lr_decay_epochs", ()),
-        lr_decay_factor=tr.get_float("lr_decay_factor", 0.1),
-        edac_eta=tr.get_float("edac_eta", 0.1),
-        edac_reg_lambda=tr.get_float("edac_reg_lambda", 0.5),
-        objective=objective,
-        train_attack=train_attack,
-        eval_attack=eval_attack,
-        seed=tr.get_int("seed", 0),
-        method=tr.get_str("method", "at", choices=METHODS),
-    )
-    tr.reject_unknown()
+    values = tr.read(_TRAIN_KEYS, required=("epochs",))
+    objective = {key: values.pop(key) for key in _OBJECTIVE_KEYS if key in values}
+    train_cfg = tr.build(TrainConfig, values, objective=tr.build(ObjectiveKind, objective),
+                         train_attack=train_attack, eval_attack=eval_attack)
 
     eval_attacks = {}
     for name in sections:
@@ -299,25 +291,15 @@ def parse_config(text, source="<config>") -> ExperimentConfig:
             eval_attacks[attack_name] = _attack_from(SectionView(name, sections[name], source))
 
     out = take("output", required=False)
-    out_dir = "runs/experiment"
-    formats = ("csv", "json")
-    if out is not None:
-        out_dir = out.get_str("dir", out_dir)
-        raw = out.get_str("formats")
-        if raw is not None:
-            formats = tuple(p.strip() for p in raw.split(",") if p.strip())
-            bad = [f for f in formats if f not in ("csv", "json")]
-            if bad:
-                raise ConfigError(f"{source}: unsupported output formats {bad}")
-        out.reject_unknown()
+    output = out.read({"dir": TEXT, "formats": FORMATS}) if out is not None else {}
 
     return ExperimentConfig(
         dataset=dataset,
-        hidden=tuple(hidden),
-        activation=activation,
-        init_seed=init_seed,
+        hidden=model.get("hidden", (64, 64)),
+        activation=model.get("activation", "relu"),
+        init_seed=model.get("init_seed", 0),
         train=train_cfg,
         eval_attacks=eval_attacks,
-        out_dir=out_dir,
-        formats=formats,
+        out_dir=output.get("dir", "runs/experiment"),
+        formats=output.get("formats", ("csv", "json")),
     )

@@ -8,7 +8,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
     num_classes: int
-    domain_box: Optional[tuple] = None
     name: str = "dataset"
 
     def __post_init__(self):
@@ -50,12 +49,6 @@ class Dataset:
             raise ShapeError("dataset inputs contain non-finite values")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ShapeError(f"labels must lie in [0, {self.num_classes})")
-        if self.domain_box is not None:
-            lo, hi = self.domain_box
-            if not lo < hi:
-                raise ConfigError(f"domain box must satisfy lo < hi, got {self.domain_box}")
-            if inputs.min() < lo or inputs.max() > hi:
-                raise ShapeError("dataset inputs fall outside the declared domain box")
         inputs.setflags(write=False)
         labels.setflags(write=False)
 
@@ -78,10 +71,7 @@ class Dataset:
         return digest.hexdigest()
 
     def subset(self, idx, name=None) -> "Dataset":
-        return Dataset(
-            self.inputs[idx], self.labels[idx], self.num_classes, self.domain_box,
-            name or self.name,
-        )
+        return Dataset(self.inputs[idx], self.labels[idx], self.num_classes, name or self.name)
 
 
 def make_gaussian_mixture(num_classes, dim, per_class, class_separation, noise_std, seed,
@@ -112,7 +102,7 @@ def make_gaussian_mixture(num_classes, dim, per_class, class_separation, noise_s
     labels = np.repeat(np.arange(num_classes), per_class)
     noise = rng.standard_normal((labels.size, dim)) * noise_std
     inputs = means[labels] + noise
-    return Dataset(inputs, labels, num_classes, None, name)
+    return Dataset(inputs, labels, num_classes, name)
 
 
 def _read_exact(f, n, offset, path):
@@ -179,7 +169,7 @@ def load_idx_images(images_path, labels_path, downsample_to=None) -> Dataset:
         h = w = downsample_to
     flat = pixels.reshape(n, h * w)
     num_classes = int(labels.max()) + 1 if labels.size else 1
-    return Dataset(flat, labels.astype(np.int64), max(num_classes, 2), (0.0, 1.0), "idx")
+    return Dataset(flat, labels.astype(np.int64), max(num_classes, 2), "idx")
 
 
 def split(dataset: Dataset, train_fraction, shuffle_seed=0):

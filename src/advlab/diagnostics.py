@@ -119,7 +119,7 @@ def attacked_stats(model: ModelState, dataset: Dataset, attack_config: AttackCon
     starts are drawn here first, slice by slice in order, so ``rng`` is
     consumed as by one pass in sequence. The runs' figures are folded in
     slice order, so every result is the sequential one, bit for bit. A pass
-    without a gradient step (``pgd`` with 0 steps) is one forward per slice,
+    without a gradient step (``as_pgd`` of 0 steps) is one forward per slice,
     cheaper than a fork, so it runs whole in the caller.
     """
     from .workers import Workers  # imported here: not on the command-line start-up path
@@ -127,7 +127,7 @@ def attacked_stats(model: ModelState, dataset: Dataset, attack_config: AttackCon
     rng = _ensure_rng(rng)
     pieces = [(piece, draw_start(attack_config, rng, piece.inputs.shape))
               for piece in slices(dataset)]
-    if attack_config.kind == "pgd" and attack_config.steps == 0:
+    if attack_config.as_pgd().steps == 0:
         outcomes = _attack_run(model, pieces, attack_config)
     else:
         with Workers() as workers:

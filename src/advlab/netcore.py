@@ -198,14 +198,19 @@ def init_model(spec: ModelSpec) -> ModelState:
     Every weight and bias of a layer with fan-in f is drawn uniformly from
     [-1/sqrt(f), +1/sqrt(f)] using a PCG64 generator seeded with
     ``spec.init_seed``, so the same (spec, seed) pair always produces a
-    bitwise-identical parameter vector.
+    bitwise-identical parameter vector. A model too large to allocate is a
+    ``ConfigError``.
     """
     rng = np.random.default_rng(int(spec.init_seed) & ((1 << 64) - 1))
     segments = []
-    for i, (fan_in, fan_out) in enumerate(spec.layer_dims()):
-        bound = 1.0 / np.sqrt(fan_in)
-        segments.append((f"w{i}", rng.uniform(-bound, bound, size=(fan_in, fan_out))))
-        segments.append((f"b{i}", rng.uniform(-bound, bound, size=fan_out)))
+    try:
+        for i, (fan_in, fan_out) in enumerate(spec.layer_dims()):
+            bound = 1.0 / np.sqrt(fan_in)
+            segments.append((f"w{i}", rng.uniform(-bound, bound, size=(fan_in, fan_out))))
+            segments.append((f"b{i}", rng.uniform(-bound, bound, size=fan_out)))
+    except MemoryError as exc:
+        raise ConfigError(f"layer widths {spec.layer_widths} make a model too large to "
+                          "allocate") from exc
     return ModelState(spec, ParamVector(segments))
 
 

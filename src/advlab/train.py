@@ -82,10 +82,10 @@ def child_seed(*parts) -> int:
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
-    batch_size: int
-    lr: float
     train_attack: AttackConfig
     eval_attack: AttackConfig
+    batch_size: int = 128
+    lr: float = 0.1
     momentum: float = 0.9
     lr_decay_epochs: tuple = ()
     lr_decay_factor: float = 0.1
@@ -183,11 +183,11 @@ class Checkpoint:
 
 def _moves_no_input(attack: AttackConfig) -> bool:
     """Whether every input leaves ``attack`` unchanged, so that its pass
-    gives the clean accuracy: a radius of 0, or a pgd of 0 steps with no
-    random start, and no domain box to clip into."""
+    gives the clean accuracy: a radius of 0, or an ``as_pgd`` of 0 steps
+    with no random start, and no domain box to clip into."""
+    pgd = attack.as_pgd()
     return attack.domain_clamp is None and (
-        attack.epsilon == 0 or (attack.kind == "pgd" and attack.steps == 0
-                                and not attack.random_start))
+        attack.epsilon == 0 or (pgd.steps == 0 and not pgd.random_start))
 
 
 def record_fits(checkpoint: Checkpoint, split, dataset: Dataset) -> bool:

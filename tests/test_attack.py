@@ -268,6 +268,16 @@ class TestGenerateBatch:
         adv = generate_batch(model, batch, cfg)
         assert np.array_equal(adv.perturbed, fgsm(model, batch.inputs, batch.labels, cfg))
 
+    def test_pgd_of_an_fgsm_config_is_fgsm(self, rng):
+        # the config's own steps (0 by default) and random start are not read
+        model = init_model(ModelSpec(3, (4, 2), "relu", 1))
+        x, y = rng.normal(size=(5, 3)), rng.integers(0, 2, size=5)
+        cfg = AttackConfig(norm="linf", epsilon=0.1, kind="fgsm", random_start=True)
+        out = pgd(model, x, y, cfg, rng=0)
+        assert out.tobytes() == fgsm(model, x, y, cfg).tobytes()
+        assert np.abs(out - x).max() == pytest.approx(0.1)
+        assert draw_start(cfg, 0, x.shape) is None
+
 
 def reference_input_grad(model, rows, labels):
     """The summed cross-entropy's input gradient by a plain layer loop in

@@ -303,6 +303,48 @@ AT_LOOKUP = {"measured_short_preds", "measured_robust_acc_not_the_row",
              "pass_doubled_preds"}
 
 
+# a value a [train] or attack section's type refuses: the edit, the line and
+# section it is reported at, and the type's message
+REFUSED = [
+    ("epochs = 2", "epochs = 0", "19: [train]", "epochs must be at least 1, got 0"),
+    ("batch_size = 32", "batch_size = 0", "20: [train]",
+     "batch_size must be at least 1, got 0"),
+    ("lr = 0.05", "lr = 0", "21: [train]", "lr must be positive, got 0.0"),
+    ("seed = 3", "seed = 3\nmomentum = 1", "23: [train]",
+     "momentum must lie in [0, 1), got 1.0"),
+    # it would decay the rate from epoch 0: lr 0.05 trained at 0.005
+    ("seed = 3", "seed = 3\nlr_decay_epochs = 1,-1", "23: [train]",
+     "lr_decay_epochs must be non-negative, got (1, -1)"),
+    ("seed = 3", "seed = 3\nlr_decay_factor = 0", "23: [train]",
+     "lr_decay_factor must lie in (0, 1], got 0.0"),
+    ("seed = 3", "seed = 3\nedac_eta = -0.5", "23: [train]",
+     "edac_eta must be non-negative, got -0.5"),
+    ("seed = 3", "seed = 3\nedac_reg_lambda = -1", "23: [train]",
+     "edac_reg_lambda must be non-negative, got -1.0"),
+    ("method = at", "method = mart", "18: [train]",
+     "method must be one of ('at', 'edac', 'edac_reg'), got 'mart'"),
+    ("seed = 3", "seed = 3\nobjective = mart", "23: [train]",
+     "objective must be one of ('at_ce', 'trades'), got 'mart'"),
+    ("seed = 3", "seed = 3\ntrades_beta = 0", "23: [train]",
+     "trades_beta must be finite and positive, got 0.0"),
+    ("[train.attack]\nnorm = linf", "[train.attack]\nnorm = l3", "25: [train.attack]",
+     "norm must be one of ('linf', 'l2'), got 'l3'"),
+    ("[eval.pgd5]\n", "[eval.pgd5]\nkind = cw\n", "31: [eval.pgd5]",
+     "kind must be one of ('pgd', 'fgsm'), got 'cw'"),
+    ("[eval.pgd5]\nnorm = linf\nepsilon = 0.25", "[eval.pgd5]\nnorm = linf\nepsilon = -0.25",
+     "32: [eval.pgd5]", "epsilon must be non-negative, got -0.25"),
+    ("steps = 5\n\n[eval.clean]", "steps = -1\n\n[eval.clean]", "34: [eval.pgd5]",
+     "steps must be non-negative, got -1"),
+    ("step_size = 0.0625\nsteps = 5\n\n[eval.pgd5]", "step_size = 0\nsteps = 5\n\n[eval.pgd5]",
+     "27: [train.attack]", "step_size must be positive when steps > 0, got 0.0"),
+    ("[eval.clean]\n", "[eval.clean]\nclamp = 1,0\n", "37: [eval.clean]",
+     "domain_clamp must satisfy lo < hi, got (1.0, 0.0)"),
+    # a message about two keys is located at its section's header
+    ("[eval.pgd5]\nnorm = linf", "[eval.pgd5]\nnorm = l2\nkind = fgsm", "30: [eval.pgd5]",
+     "fgsm is defined for the linf norm only"),
+]
+
+
 @pytest.fixture
 def quick_config(tmp_path):
     def make(out_name="run", **replacements):
@@ -459,12 +501,21 @@ class TestTrainCommand:
         assert "expected a finite number" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_negative_lr_decay_epoch_exit_2(self, quick_config, capsys):
-        # it would decay the rate from epoch 0: lr 0.05 trained at 0.005
-        cfg, out = quick_config(**{"seed = 3": "seed = 3\nlr_decay_epochs = 1,-1"})
+    @pytest.mark.parametrize("old,new,at,message", REFUSED,
+                             ids=[message.split()[0] for *_, message in REFUSED])
+    def test_refused_value_names_its_line(self, quick_config, capsys, old, new, at, message):
+        cfg, out = quick_config(**{old: new})
         assert main(["train", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == \
-            "config error: lr_decay_epochs must be non-negative, got (1, -1)\n"
+        assert capsys.readouterr().err == f"config error: {cfg}:{at} {message}\n"
+        assert not out.exists()
+
+    def test_model_too_large_to_allocate_exit_2(self, quick_config, capsys):
+        # 2**52 hidden units: past the array size check, but 2**57 bytes a
+        # weight matrix, which no 64-bit address space holds
+        cfg, out = quick_config(**{"hidden = 16": "hidden = 4503599627370496"})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == ("config error: layer widths (4503599627370496, 3) "
+                                           "make a model too large to allocate\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("old,new", [
@@ -1106,11 +1157,20 @@ class TestGradcheckCommand:
     def test_overflowing_h_fails_the_certainty_gate(self, quick_config, capsys):
         # h = 1e300 overflows the finite differences into a NaN error
         cfg, _ = quick_config()
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["gradcheck", "--config", str(cfg), "--cases", "1", "--h", "1e300"]) == 5
+        assert main(["gradcheck", "--config", str(cfg), "--cases", "1", "--h", "1e300"]) == 5
         out = capsys.readouterr().out
         assert "grad_certainty_frozen: 1 cases, max relative error nan [FAIL]" in out
         assert "[ok]" not in out
+
+    def test_overflowing_h_prints_no_numpy_warning(self):
+        proc = subprocess.run([sys.executable, "-m", "advlab", "gradcheck", "--config",
+                               str(ROOT / "configs" / "benchmark_at.ini"), "--cases", "1",
+                               "--h", "1e300"],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 5
+        assert proc.stderr == ("gradient check failed for: grad_params, grad_params_trades, "
+                               "grad_input, grad_certainty_frozen\n")
 
     @pytest.mark.parametrize("cases", [8, 100])
     def test_trades_gate_checks_the_cases_it_reports(self, monkeypatch, cases):

@@ -1,9 +1,18 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from test_data import idx_images_bytes, idx_labels_bytes
 
-from advlab.config import parse_config, parse_sectioned
+from advlab.attack import AttackConfig
+from advlab.config import ExperimentConfig, load_config, parse_config, parse_sectioned
+from advlab.data import default_benchmark
 from advlab.errors import ConfigError
+from advlab.objective import ObjectiveKind
+from advlab.train import TrainConfig
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOOD = """
 [dataset]
@@ -168,3 +177,31 @@ class TestExperimentConfig:
         swapped = cfg.build_datasets(("test", "train"))
         for got in (alone, swapped[::-1]):
             assert [(d.name, d.sha256) for d in got] == [(d.name, d.sha256) for d in pair]
+
+
+@pytest.mark.parametrize("method", ["at", "edac", "edac_reg"])
+def test_bundled_config_values(method):
+    """Each bundled config parses to these values, with these types: the
+    defaults it leaves out are the types' own."""
+    attack = AttackConfig(norm="linf", epsilon=0.15, step_size=0.0375, steps=10, kind="pgd",
+                          random_start=False, domain_clamp=None)
+    want = ExperimentConfig(
+        dataset=None,
+        hidden=(256, 256),
+        activation="relu",
+        init_seed=0,
+        train=TrainConfig(epochs=30, batch_size=64, lr=0.1, momentum=0.9,
+                          lr_decay_epochs=(15, 23), lr_decay_factor=0.1, edac_eta=0.01,
+                          edac_reg_lambda=0.5, objective=ObjectiveKind("at_ce", 6.0), seed=0,
+                          method=method, train_attack=attack, eval_attack=attack),
+        eval_attacks={"pgd10": attack,
+                      "pgd20": replace(attack, step_size=0.01875, steps=20),
+                      "clean": AttackConfig(norm="linf", epsilon=0.0, step_size=1.0, steps=0)},
+        out_dir=f"runs/benchmark_{method}",
+        formats=("csv", "json"),
+    )
+    got = load_config(ROOT / "configs" / f"benchmark_{method}.ini")
+    # a partial has no ==: its function and keywords are compared
+    assert (got.dataset.func, got.dataset.keywords) == (default_benchmark, {"seed": None})
+    # the repr tells 0 from 0.0
+    assert repr(replace(got, dataset=None)) == repr(want)

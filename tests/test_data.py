@@ -31,10 +31,6 @@ class TestDataset:
         with pytest.raises(ShapeError):
             Dataset(np.zeros((2, 3)), np.array([0, 5]), num_classes=2)
 
-    def test_domain_box_checked(self):
-        with pytest.raises(ShapeError):
-            Dataset(np.array([[2.0]]), np.array([0]), 2, domain_box=(0.0, 1.0))
-
     def test_non_finite_rejected(self):
         with pytest.raises(ShapeError):
             Dataset(np.array([[np.inf]]), np.array([0]), 2)
@@ -87,7 +83,6 @@ class TestIdxReader:
         lp.write_bytes(idx_labels_bytes(labels))
         ds = load_idx_images(ip, lp)
         assert len(ds) == 4
-        assert ds.domain_box == (0.0, 1.0)
         assert np.array_equal(ds.labels, labels)
         assert np.allclose(ds.inputs, imgs.reshape(4, 4) / 255.0)
 

@@ -29,3 +29,12 @@ def test_no_function_body_imports_train():
 def test_diagnostics_imports_nothing_from_train():
     tree = ast.parse((PACKAGE / "diagnostics.py").read_text(encoding="utf-8"))
     assert not any(_imports_train(node) for node in ast.walk(tree))
+
+
+def test_config_imports_no_choice_tuple():
+    """The types a config section builds hold their choices; ``config``
+    hands them the keys and reads none of their choice tuples."""
+    tree = ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert not imported & {"METHODS", "NORMS", "KINDS", "OBJECTIVE_KINDS"}
